@@ -4,7 +4,9 @@
 Generates random task sets of increasing size at 70 % worst-case utilisation,
 schedules each with ACS and WCS, simulates both under the truncated-normal
 workload and prints the mean energy improvement per (task count, BCEC/WCEC
-ratio) point — the series of the paper's Figure 6(a).
+ratio) point — the series of the paper's Figure 6(a).  The sweep is a
+scenario document run by the scenario engine, the same way
+``repro run examples/scenarios/figure6a.toml`` runs the full figure.
 
 Run with:  python examples/random_taskset_sweep.py            (a few minutes)
            python examples/random_taskset_sweep.py --quick    (seconds)
@@ -12,7 +14,7 @@ Run with:  python examples/random_taskset_sweep.py            (a few minutes)
 
 import argparse
 
-from repro.experiments.figure6a import Figure6aConfig, run_figure6a
+from repro.scenarios import ScenarioEngine, ScenarioSpec
 
 
 def main() -> None:
@@ -24,16 +26,19 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.quick:
-        config = Figure6aConfig(task_counts=(2, 4), bcec_wcec_ratios=(0.1, 0.9),
-                                tasksets_per_point=2, hyperperiods_per_taskset=10,
-                                seed=args.seed, jobs=args.jobs)
+        task_counts, ratios, tasksets, hyperperiods = [2, 4], [0.1, 0.9], 2, 10
     else:
-        config = Figure6aConfig(task_counts=(2, 4, 6), bcec_wcec_ratios=(0.1, 0.5, 0.9),
-                                tasksets_per_point=3, hyperperiods_per_taskset=20,
-                                seed=args.seed, jobs=args.jobs)
+        task_counts, ratios, tasksets, hyperperiods = [2, 4, 6], [0.1, 0.5, 0.9], 3, 20
+    spec = ScenarioSpec.from_dict({
+        "kind": "comparison",
+        "name": "random-taskset-sweep",
+        "taskset": {"source": "random", "utilization": 0.7},
+        "simulation": {"hyperperiods": hyperperiods, "seed": args.seed,
+                       "repetitions": tasksets},
+        "matrix": {"taskset.n_tasks": task_counts, "taskset.ratio": ratios},
+    })
 
-    result = run_figure6a(config, verbose=True)
-    print()
+    result = ScenarioEngine().run(spec, n_jobs=args.jobs)
     print("Improvement of ACS over WCS (percent, runtime energy):")
     print(result.to_markdown())
     print()

@@ -16,8 +16,9 @@ and expose the online runtime and the batched harness directly:
   plus the ASCII Gantt chart projected from the trace, optionally with
   sporadic release jitter (``--jitter J``) and a JSON event dump
   (``--output FILE``);
-* ``sweep``      — configurable random-taskset sweep on a process pool
-  (``--jobs N``; any worker count produces bitwise-identical output);
+* ``sweep``      — one configurable random-taskset comparison over
+  ``--tasksets`` task sets (``--jobs N``; any worker count produces
+  bitwise-identical output);
 * ``partition``  — partition an application across ``--cores`` processors,
   plan each core offline, simulate the multicore system and serialise the
   resulting ``MulticoreResult``;
@@ -45,8 +46,12 @@ and the sweep service (see the "Sweep service" section of
 * ``submit``    — send a scenario file to a running server and stream its
   per-unit progress; the final table is identical to a local ``run``.
 
-Use ``--full`` for the paper-scale sample sizes (slow) and ``--quick`` for a
-smoke-test-sized run.
+``figure6a``, ``figure6b``, ``sweep`` and ``scalability`` are front-ends for
+scenario documents: each turns its flags into one document (the committed
+``examples/scenarios/*.toml`` files describe the same sweeps), runs it through
+:class:`~repro.scenarios.ScenarioEngine` on an in-memory store and renders
+the result exactly as ``run`` does.  Use ``--full`` for the paper-scale sample
+sizes (slow) and ``--quick`` for a smoke-test-sized run.
 """
 
 from __future__ import annotations
@@ -58,19 +63,15 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
 from .allocation.multicore import MulticoreProblem, plan_multicore
 from .allocation.partitioners import available_partitioners
 from .core.errors import ExperimentError, ReproError
-from .experiments.figure6a import Figure6aConfig, run_figure6a
-from .experiments.figure6b import Figure6bConfig, run_figure6b
 from .experiments.harness import make_schedulers, scheduler_names
 from .experiments.motivation import run_motivation
-from .experiments.scalability import ScalabilityConfig, run_scalability
-from .experiments.sweep import SweepConfig, run_sweep
 from .power.presets import ideal_processor
 from .runtime.multicore import MulticoreRunner
 from .runtime.policies import available_policies, get_policy
@@ -101,20 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
     motivation.set_defaults(runner=_run_motivation)
 
     figure6a = subparsers.add_parser("figure6a", help="random task-set sweep (Figure 6a)")
-    figure6a.add_argument("--quick", action="store_true", help="tiny sample sizes (smoke test)")
-    figure6a.add_argument("--full", action="store_true", help="paper-scale sample sizes (slow)")
+    figure6a_scale = figure6a.add_mutually_exclusive_group()
+    figure6a_scale.add_argument("--quick", action="store_true", help="tiny sample sizes (smoke test)")
+    figure6a_scale.add_argument("--full", action="store_true", help="paper-scale sample sizes (slow)")
     figure6a.add_argument("--seed", type=int, default=2005)
     figure6a.add_argument("--jobs", type=int, default=1,
                           help="worker processes (results identical for any value)")
-    figure6a.set_defaults(runner=_run_figure6a)
+    figure6a.set_defaults(runner=_run_document, document=_figure6a_document)
 
     figure6b = subparsers.add_parser("figure6b", help="CNC and GAP case studies (Figure 6b)")
-    figure6b.add_argument("--quick", action="store_true", help="tiny sample sizes (smoke test)")
-    figure6b.add_argument("--full", action="store_true", help="paper-scale sample sizes (slow)")
+    figure6b_scale = figure6b.add_mutually_exclusive_group()
+    figure6b_scale.add_argument("--quick", action="store_true", help="tiny sample sizes (smoke test)")
+    figure6b_scale.add_argument("--full", action="store_true", help="paper-scale sample sizes (slow)")
     figure6b.add_argument("--seed", type=int, default=2005)
     figure6b.add_argument("--jobs", type=int, default=1,
                           help="worker processes (results identical for any value)")
-    figure6b.set_defaults(runner=_run_figure6b)
+    figure6b.set_defaults(runner=_run_document, document=_figure6b_document)
 
     simulate = subparsers.add_parser(
         "simulate",
@@ -155,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser(
         "sweep",
-        help="random-taskset sweep on a process pool (batched harness)")
+        help="one random-taskset comparison over many task sets (process pool)")
     sweep.add_argument("--tasksets", type=int, default=8, help="number of random task sets")
     sweep.add_argument("--tasks", type=int, default=4, help="tasks per task set")
     sweep.add_argument("--ratio", type=float, default=0.5, help="BCEC/WCEC ratio")
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--quick", action="store_true", help="tiny sample sizes (smoke test)")
     sweep.add_argument("--output", default=None,
                        help="also write the full result as JSON to this path")
-    sweep.set_defaults(runner=_run_sweep)
+    sweep.set_defaults(runner=_run_document, document=_sweep_document)
 
     partition = subparsers.add_parser(
         "partition",
@@ -218,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "given values are honoured as-is")
     scalability.add_argument("--output", default=None,
                              help="also write the full result as JSON to this path")
-    scalability.set_defaults(runner=_run_scalability)
+    scalability.set_defaults(runner=_run_document, document=_scalability_document)
 
     run = subparsers.add_parser(
         "run",
@@ -318,30 +321,42 @@ def _run_motivation(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _run_figure6a(args: argparse.Namespace) -> str:
+# The four experiment subcommands are front-ends: each turns its flags into one
+# scenario document that ``_run_document`` executes.  The figure6a, figure6b
+# and scalability documents mirror ``examples/scenarios/<name>.toml`` and its
+# profiles (--quick = ``smoke``, --full = ``full``);
+# ``tests/scenarios/test_engine.py`` pins every pair to identical work units.
+def _figure6a_document(args: argparse.Namespace) -> dict:
     if args.full:
-        config = Figure6aConfig(tasksets_per_point=100, hyperperiods_per_taskset=1000,
-                                seed=args.seed, jobs=args.jobs)
+        hyperperiods, repetitions, task_counts = 1000, 100, [2, 4, 6, 8, 10]
     elif args.quick:
-        config = Figure6aConfig(task_counts=(2, 4), tasksets_per_point=2,
-                                hyperperiods_per_taskset=5, seed=args.seed, jobs=args.jobs)
+        hyperperiods, repetitions, task_counts = 5, 2, [2, 4]
     else:
-        config = Figure6aConfig(seed=args.seed, jobs=args.jobs)
-    result = run_figure6a(config, verbose=True)
-    return result.to_markdown()
+        hyperperiods, repetitions, task_counts = 20, 5, [2, 4, 6, 8, 10]
+    return {
+        "kind": "comparison",
+        "name": "figure6a",
+        "taskset": {"source": "random", "utilization": 0.7},
+        "simulation": {"hyperperiods": hyperperiods, "seed": args.seed,
+                       "repetitions": repetitions},
+        "matrix": {"taskset.n_tasks": task_counts, "taskset.ratio": [0.1, 0.5, 0.9]},
+    }
 
 
-def _run_figure6b(args: argparse.Namespace) -> str:
+def _figure6b_document(args: argparse.Namespace) -> dict:
     if args.full:
-        config = Figure6bConfig(hyperperiods_per_point=1000, gap_tasks=None,
-                                seed=args.seed, jobs=args.jobs)
+        hyperperiods, gap_tasks = 1000, 17
     elif args.quick:
-        config = Figure6bConfig(hyperperiods_per_point=5, gap_tasks=5,
-                                seed=args.seed, jobs=args.jobs)
+        hyperperiods, gap_tasks = 5, 5
     else:
-        config = Figure6bConfig(seed=args.seed, jobs=args.jobs)
-    result = run_figure6b(config, verbose=True)
-    return result.to_markdown()
+        hyperperiods, gap_tasks = 20, 8
+    return {
+        "kind": "comparison",
+        "name": "figure6b",
+        "taskset": {"source": "cnc", "utilization": 0.7, "gap_tasks": gap_tasks},
+        "simulation": {"hyperperiods": hyperperiods, "seed": args.seed},
+        "matrix": {"taskset.source": ["cnc", "gap"], "taskset.ratio": [0.1, 0.5, 0.9]},
+    }
 
 
 def _demo_taskset(ratio: float):
@@ -454,30 +469,24 @@ def _run_trace(args: argparse.Namespace) -> str:
     return "\n".join(sections)
 
 
-def _run_sweep(args: argparse.Namespace) -> str:
+def _sweep_document(args: argparse.Namespace) -> dict:
+    taskset = {"source": "random", "n_tasks": args.tasks, "ratio": args.ratio,
+               "utilization": args.utilization}
+    n_tasksets, hyperperiods = args.tasksets, args.hyperperiods
     if args.quick:
         # --quick caps the *size* knobs (tasksets, tasks, hyperperiods) and
         # restricts the period pool so the NLPs stay tiny, but scenario knobs
         # (ratio, utilization, policy, seed) are honoured as given.
-        config = SweepConfig(n_tasksets=min(args.tasksets, 2), n_tasks=min(args.tasks, 3),
-                             bcec_wcec_ratio=args.ratio,
-                             target_utilization=args.utilization, n_hyperperiods=5,
-                             seed=args.seed, policy=args.policy, jobs=args.jobs,
-                             periods=(10.0, 20.0, 40.0))
-    else:
-        config = SweepConfig(n_tasksets=args.tasksets, n_tasks=args.tasks,
-                             bcec_wcec_ratio=args.ratio,
-                             target_utilization=args.utilization,
-                             n_hyperperiods=args.hyperperiods,
-                             seed=args.seed, policy=args.policy, jobs=args.jobs)
-    result = run_sweep(config)
-    if args.output:
-        from .reporting.serialization import save_json, sweep_result_to_dict
-        save_json(sweep_result_to_dict(result), args.output)
-    report = result.to_markdown()
-    # Wall-clock goes on a separate trailing line so the deterministic report
-    # above stays byte-identical across --jobs values.
-    return f"{report}\n\nwall-clock: {result.elapsed_seconds:.2f}s (jobs={config.jobs})"
+        n_tasksets, hyperperiods = min(n_tasksets, 2), 5
+        taskset.update(n_tasks=min(args.tasks, 3), periods=[10.0, 20.0, 40.0])
+    return {
+        "kind": "comparison",
+        "name": "sweep",
+        "taskset": taskset,
+        "online": {"policy": args.policy},
+        "simulation": {"hyperperiods": hyperperiods, "seed": args.seed,
+                       "repetitions": n_tasksets},
+    }
 
 
 def _run_partition(args: argparse.Namespace) -> str:
@@ -531,41 +540,72 @@ def _run_partition(args: argparse.Namespace) -> str:
                       f"wrote MulticoreResult to {output_path}"])
 
 
-def _run_scalability(args: argparse.Namespace) -> str:
+def _scalability_document(args: argparse.Namespace) -> dict:
     # --quick only shrinks the *defaults*; values the user gave explicitly
     # (--cores/--partitioners/--hyperperiods) are honoured as-is.
     cores_spec = args.cores if args.cores is not None else ("1,2" if args.quick else "1,2,4,8")
     partitioners_spec = args.partitioners if args.partitioners is not None \
         else ("ffd,wfd" if args.quick else "ffd,bfd,wfd,energy")
-    n_hyperperiods = args.hyperperiods if args.hyperperiods is not None \
+    hyperperiods = args.hyperperiods if args.hyperperiods is not None \
         else (5 if args.quick else 20)
     try:
-        core_counts = tuple(int(part) for part in cores_spec.split(",") if part.strip())
+        core_counts = [int(part) for part in cores_spec.split(",") if part.strip()]
     except ValueError:
         raise ExperimentError(f"--cores must be comma-separated integers, got {cores_spec!r}")
-    partitioners = tuple(part.strip() for part in partitioners_spec.split(",") if part.strip())
+    partitioners = [part.strip() for part in partitioners_spec.split(",") if part.strip()]
     if not core_counts or not partitioners:
         raise ExperimentError("--cores and --partitioners must each name at least one value")
-    unknown = [name for name in partitioners if name not in available_partitioners()]
-    if unknown:
-        raise ExperimentError(
-            f"unknown partitioners {unknown}; known: {', '.join(available_partitioners())}")
-    config = ScalabilityConfig(
-        core_counts=core_counts, partitioners=partitioners,
-        application=args.app, method=args.method, policy=args.policy,
-        bcec_wcec_ratio=args.ratio,
-        n_hyperperiods=n_hyperperiods,
-        seed=args.seed, jobs=args.jobs,
-        gap_tasks=5 if args.quick else 8,
-    )
-    result = run_scalability(config, verbose=True)
-    if args.output:
-        from .reporting.serialization import save_json, scalability_result_to_dict
-        save_json(scalability_result_to_dict(result), args.output)
-    report = result.to_markdown()
+    return {
+        "kind": "multicore",
+        "name": "scalability",
+        "taskset": {"source": args.app, "ratio": args.ratio, "utilization": 0.7,
+                    "gap_tasks": 5 if args.quick else 8},
+        "offline": {"methods": [args.method], "baseline": args.method},
+        "online": {"policy": args.policy},
+        "simulation": {"hyperperiods": hyperperiods, "seed": args.seed},
+        "multicore": {"cores": core_counts, "partitioners": partitioners},
+    }
+
+
+def _run_document(args: argparse.Namespace) -> str:
+    """Run an experiment subcommand: its flags' scenario document, in memory, rendered like ``run``."""
+    from .scenarios import MemoryStore, ScenarioEngine, ScenarioSpec
+
+    spec = ScenarioSpec.from_dict(args.document(args))
+    _, report = _execute_scenario(ScenarioEngine(MemoryStore()), spec, jobs=args.jobs,
+                                  output=getattr(args, "output", None))
+    return report
+
+
+def _execute_scenario(engine, spec, *, jobs: int, force: bool = False,
+                      output: Union[str, Path, None] = None, telemetry=None,
+                      where: str = "disabled"):
+    """Run one scenario and render its report; the shared back half of every runner.
+
+    Returns ``(result, report)``: the markdown table, the unit summary and
+    the wall-clock line.  ``output`` also receives the result as
+    :func:`~repro.reporting.serialization.scenario_result_to_dict` JSON, and
+    a ``telemetry`` collector observes the run when given.
+    """
+    from .reporting.serialization import save_json, scenario_result_to_dict
+    from .telemetry import using
+
+    if telemetry is None:
+        result = engine.run(spec, n_jobs=jobs, force=force)
+    else:
+        with using(telemetry):
+            result = engine.run(spec, n_jobs=jobs, force=force)
+    if output is not None:
+        save_json(scenario_result_to_dict(result), output)
     # Wall-clock goes on a separate trailing line so the deterministic report
-    # above stays byte-identical across --jobs values.
-    return f"{report}\n\nwall-clock: {result.elapsed_seconds:.2f}s (jobs={config.jobs})"
+    # above stays byte-identical across --jobs values and reruns.
+    report = "\n".join([
+        result.to_markdown(),
+        "",
+        f"{result.summary()} (store: {where})",
+        f"wall-clock: {result.elapsed_seconds:.2f}s (jobs={jobs})",
+    ])
+    return result, report
 
 
 def _run_serve(args: argparse.Namespace) -> str:
@@ -671,16 +711,8 @@ def _telemetry_jsonl_path(store_dir: Optional[str], name: str, spec_path: str,
 
 
 def _run_scenarios(args: argparse.Namespace) -> str:
-    from .reporting.serialization import save_json, scenario_result_to_dict
     from .scenarios import ResultStore, ScenarioEngine, load_scenario
-    from .telemetry import (
-        JsonlSink,
-        SummarySink,
-        Telemetry,
-        build_manifest,
-        using,
-        write_manifest,
-    )
+    from .telemetry import JsonlSink, SummarySink, Telemetry, build_manifest, write_manifest
 
     if args.jobs < 1:
         raise ExperimentError(f"--jobs must be at least 1, got {args.jobs}")
@@ -689,18 +721,22 @@ def _run_scenarios(args: argparse.Namespace) -> str:
     store_dir = None if args.no_store else _resolve_store_dir(args.store)
     engine = ScenarioEngine(ResultStore(store_dir) if store_dir else None)
     telemetry_arg = getattr(args, "telemetry", None)
-    telemetry_enabled = telemetry_arg is not None
+    output_dir = Path(args.output) if args.output else None
+    if output_dir is not None:
+        output_dir.mkdir(parents=True, exist_ok=True)
     claimed_jsonl: dict = {}
     sections: List[str] = []
     for path in args.specs:
         spec = load_scenario(path, profile=args.profile)
+        # One fresh collector per spec so every manifest and JSONL block
+        # describes exactly one scenario run.
+        telemetry = Telemetry() if telemetry_arg is not None else None
+        result, report = _execute_scenario(
+            engine, spec, jobs=args.jobs, force=args.force,
+            output=output_dir / f"{spec.name}.json" if output_dir else None,
+            telemetry=telemetry, where=store_dir or "disabled")
         stage_timings = counters = None
-        if telemetry_enabled:
-            # One fresh collector per spec so every manifest and JSONL block
-            # describes exactly one scenario run.
-            telemetry = Telemetry()
-            with using(telemetry):
-                result = engine.run(spec, n_jobs=args.jobs, force=args.force)
+        if telemetry is not None:
             snapshot = telemetry.snapshot()
             stage_timings = telemetry.stage_timings()
             counters = snapshot["counters"]
@@ -710,8 +746,6 @@ def _run_scenarios(args: argparse.Namespace) -> str:
                 jsonl_path = _telemetry_jsonl_path(store_dir, spec.name, path, claimed_jsonl)
             JsonlSink(jsonl_path).emit(snapshot, scenario=spec.name)
             SummarySink().emit(snapshot, scenario=spec.name)
-        else:
-            result = engine.run(spec, n_jobs=args.jobs, force=args.force)
         if store_dir:
             manifest = build_manifest(
                 scenario=spec.name,
@@ -723,21 +757,7 @@ def _run_scenarios(args: argparse.Namespace) -> str:
                 counters=counters,
             )
             write_manifest(store_dir, manifest)
-        if args.output:
-            output_dir = Path(args.output)
-            output_dir.mkdir(parents=True, exist_ok=True)
-            save_json(scenario_result_to_dict(result), output_dir / f"{spec.name}.json")
-        where = store_dir if store_dir else "disabled"
-        # Wall-clock goes on a separate trailing line so the deterministic
-        # report above stays byte-identical across --jobs values and reruns.
-        sections.append("\n".join([
-            f"== {spec.name} ({path})",
-            "",
-            result.to_markdown(),
-            "",
-            f"{result.summary()} (store: {where})",
-            f"wall-clock: {result.elapsed_seconds:.2f}s (jobs={args.jobs})",
-        ]))
+        sections.append(f"== {spec.name} ({path})\n\n{report}")
     return "\n\n".join(sections)
 
 

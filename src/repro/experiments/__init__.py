@@ -1,7 +1,10 @@
-"""Experiment harnesses that regenerate the paper's tables and figures."""
+"""Experiment harnesses: the ACS-vs-WCS comparison runner, seeding and Table 1.
 
-from .figure6a import Figure6aConfig, Figure6aPoint, Figure6aResult, run_figure6a
-from .figure6b import Figure6bConfig, Figure6bPoint, Figure6bResult, run_figure6b
+The Figure 6 sweeps and the multicore scalability grid are scenario documents
+run by :class:`repro.scenarios.ScenarioEngine` on top of this harness (see
+``examples/scenarios/`` and ``docs/scenarios.md``).
+"""
+
 from .harness import (
     ComparisonConfig,
     ComparisonJob,
@@ -15,15 +18,7 @@ from .harness import (
     scheduler_names,
 )
 from .motivation import MotivationConfig, MotivationResult, motivation_taskset, run_motivation
-from .scalability import (
-    ScalabilityConfig,
-    ScalabilityPoint,
-    ScalabilityResult,
-    run_multicore_point,
-    run_scalability,
-)
 from .seeding import derive_rng, derive_seed, seed_sequence
-from .sweep import SweepConfig, SweepResult, run_sweep
 
 __all__ = [
     "ComparisonConfig",
@@ -36,27 +31,11 @@ __all__ = [
     "random_comparison_job",
     "run_comparisons",
     "scheduler_names",
-    "SweepConfig",
-    "SweepResult",
-    "run_sweep",
     "derive_seed",
     "derive_rng",
     "seed_sequence",
-    "Figure6aConfig",
-    "Figure6aPoint",
-    "Figure6aResult",
-    "run_figure6a",
-    "Figure6bConfig",
-    "Figure6bPoint",
-    "Figure6bResult",
-    "run_figure6b",
     "MotivationConfig",
     "MotivationResult",
     "motivation_taskset",
     "run_motivation",
-    "ScalabilityConfig",
-    "ScalabilityPoint",
-    "ScalabilityResult",
-    "run_multicore_point",
-    "run_scalability",
 ]

@@ -127,7 +127,7 @@ class ComparisonConfig:
         conventionally ending with a stream tag — e.g. ``(point_index,
         sample_index, seeding.SIMULATION_STREAM)`` — so simulation seeds can
         never collide with the task-set generation stream.  A ``None`` seed
-        stays ``None``.  This is how the figure/sweep modules seed every
+        stays ``None``.  This is how the scenario engine seeds every
         work unit; see :mod:`repro.experiments.seeding`.
         """
         if self.seed is None:
@@ -427,8 +427,8 @@ def random_comparison_job(processor: ProcessorModel, taskset_config: RandomTaskS
     This is the one place that encodes the seed-pairing convention: the
     simulation seed is ``config.seed`` derived over ``(*path,
     SIMULATION_STREAM)`` and the task-set generation seed over ``(*path,
-    TASKSET_STREAM)``.  Every random sweep (Figure 6a, ``repro sweep``) must
-    construct its units through here so the serial/parallel determinism
+    TASKSET_STREAM)``.  Every random sweep (the scenario engine's
+    ``source = "random"`` points) must construct its units through here so the serial/parallel determinism
     guarantee cannot diverge between callers.
     """
     if config.seed is None:

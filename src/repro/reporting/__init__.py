@@ -10,11 +10,9 @@ from .serialization import (
     multicore_result_to_dict,
     partition_to_dict,
     save_json,
-    scalability_result_to_dict,
     schedule_from_dict,
     schedule_to_dict,
     simulation_result_to_dict,
-    sweep_result_to_dict,
     taskset_from_dict,
     taskset_to_dict,
 )
@@ -31,11 +29,9 @@ __all__ = [
     "schedule_from_dict",
     "simulation_result_to_dict",
     "comparison_result_to_dict",
-    "sweep_result_to_dict",
     "partition_to_dict",
     "multicore_plan_to_dict",
     "multicore_result_to_dict",
-    "scalability_result_to_dict",
     "save_json",
     "load_json",
 ]

@@ -12,10 +12,10 @@ round-trips for both, without pickling arbitrary objects:
 * :func:`trace_to_dicts` / :func:`trace_from_dicts` (the typed event stream
   of :mod:`repro.runtime.trace`; the golden-trace fixtures under
   ``tests/fixtures/traces/`` are this row form on disk)
-* :func:`comparison_result_to_dict` / :func:`sweep_result_to_dict` (the
-  experiment-harness aggregates, e.g. for ``repro sweep --output``)
-* :func:`scenario_result_to_dict` (the declarative scenario runner; the same
-  per-unit dictionaries double as the payloads of the content-addressed
+* :func:`comparison_result_to_dict` (one experiment-harness comparison)
+* :func:`scenario_result_to_dict` (the declarative scenario runner and the
+  experiment subcommands, e.g. ``repro sweep --output``; the per-unit
+  comparison dictionaries double as the payloads of the content-addressed
   result store, which is what makes store replays bitwise-identical)
 * :func:`save_json` / :func:`load_json`
 """
@@ -38,8 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard dependency ed
     from ..allocation.multicore import MulticorePlan
     from ..allocation.partitioners import Partition
     from ..experiments.harness import ComparisonResult
-    from ..experiments.scalability import ScalabilityResult
-    from ..experiments.sweep import SweepResult
     from ..runtime.multicore import MulticoreResult
     from ..scenarios.engine import ScenarioResult
 
@@ -52,11 +50,9 @@ __all__ = [
     "trace_to_dicts",
     "trace_from_dicts",
     "comparison_result_to_dict",
-    "sweep_result_to_dict",
     "partition_to_dict",
     "multicore_plan_to_dict",
     "multicore_result_to_dict",
-    "scalability_result_to_dict",
     "scenario_result_to_dict",
     "save_json",
     "load_json",
@@ -231,48 +227,6 @@ def comparison_result_to_dict(result: "ComparisonResult") -> Dict:
     return data
 
 
-def sweep_result_to_dict(result: "SweepResult") -> Dict:
-    """Serialise an aggregated sweep (configuration, aggregates, per-taskset results).
-
-    ``elapsed_seconds`` is reported for convenience but is the only
-    non-deterministic field; everything else is bitwise-stable across worker
-    counts and runs.
-    """
-    cfg = result.config
-    config: Dict = {
-        "n_tasksets": cfg.n_tasksets,
-        "n_tasks": cfg.n_tasks,
-        "bcec_wcec_ratio": cfg.bcec_wcec_ratio,
-        "target_utilization": cfg.target_utilization,
-        "n_hyperperiods": cfg.n_hyperperiods,
-        "seed": cfg.seed,
-        "policy": cfg.policy,
-        "schedulers": list(cfg.schedulers),
-        "baseline": cfg.baseline,
-        "jobs": cfg.jobs,
-    }
-    # Non-default-only keys keep pre-existing sweep JSON byte-stable.
-    if cfg.batched:
-        config["batched"] = True
-    data = {
-        "config": config,
-        "aggregate": {
-            method: {
-                "mean_energy_per_hyperperiod": result.mean_energy(method),
-                "mean_improvement_over_baseline_percent": result.mean_improvement(method),
-            }
-            for method in result.methods()
-        },
-        "total_deadline_misses": result.total_misses(),
-        "elapsed_seconds": result.elapsed_seconds,
-        "results": [comparison_result_to_dict(r) for r in result.results],
-    }
-    fallback_reasons = result.fallback_summary()
-    if fallback_reasons:
-        data["fallback_reasons"] = fallback_reasons
-    return data
-
-
 def partition_to_dict(partition: "Partition") -> Dict:
     """Serialise a task-to-core assignment (what a multicore deployment ships first)."""
     return {
@@ -322,42 +276,6 @@ def multicore_result_to_dict(result: "MulticoreResult") -> Dict:
             None if core_result is None else simulation_result_to_dict(core_result)
             for core_result in result.core_results
         ],
-    }
-
-
-def scalability_result_to_dict(result: "ScalabilityResult") -> Dict:
-    """Serialise the multicore scalability sweep (grid of (cores, partitioner) points)."""
-    cfg = result.config
-    return {
-        "config": {
-            "core_counts": list(cfg.core_counts),
-            "partitioners": list(cfg.partitioners),
-            "application": cfg.application,
-            "method": cfg.method,
-            "policy": cfg.policy,
-            "bcec_wcec_ratio": cfg.bcec_wcec_ratio,
-            "target_utilization": cfg.target_utilization,
-            "n_hyperperiods": cfg.n_hyperperiods,
-            "seed": cfg.seed,
-            "gap_tasks": cfg.gap_tasks,
-            "jobs": cfg.jobs,
-        },
-        "baseline_cores": result.baseline_cores,
-        "points": [
-            {
-                "n_cores": point.n_cores,
-                "partitioner": point.partitioner,
-                "mean_energy_per_hyperperiod": point.mean_energy_per_hyperperiod,
-                "total_energy": point.total_energy,
-                "max_core_utilization": point.max_core_utilization,
-                "used_cores": point.used_cores,
-                "deadline_misses": point.deadline_misses,
-                "improvement_over_single_core_percent":
-                    result.improvement_over_single_core(point.n_cores, point.partitioner),
-            }
-            for point in result.points
-        ],
-        "elapsed_seconds": result.elapsed_seconds,
     }
 
 

@@ -1,18 +1,20 @@
 """Scenario engine: compile declarative specs down to the existing harnesses.
 
-The engine turns a :class:`~repro.scenarios.spec.ScenarioSpec` into the same
-work units the hand-written experiment modules build — picklable
-:class:`~repro.experiments.harness.ComparisonJob` batches for ``comparison``
-scenarios (executed through :func:`run_comparisons`, so ``--jobs N`` keeps the
-bitwise serial/parallel guarantee), per-``(m, partitioner)`` multicore plans
-for ``multicore`` scenarios, and the motivation table for ``motivation`` ones.
+The engine turns a :class:`~repro.scenarios.spec.ScenarioSpec` into work
+units — picklable :class:`~repro.experiments.harness.ComparisonJob` batches
+for ``comparison`` scenarios (executed through :func:`iter_comparisons`, so
+``--jobs N`` keeps the bitwise serial/parallel guarantee), per-``(m,
+partitioner)`` multicore plans for ``multicore`` scenarios, and the
+motivation table for ``motivation`` ones.  Every experiment sweep runs
+here: ``repro figure6a``/``figure6b``/``sweep``/``scalability`` are
+front-ends that build a scenario document and run it through this engine.
 
-Seed derivation matches the figure modules exactly: a point's matrix-axis
-indices are the seed coordinates of its work units (plus the repetition index
-for random task sets), so ``examples/scenarios/figure6a.toml`` reproduces
-``repro figure6a`` bit for bit — and because every unit is keyed in the
-result store by a content hash of its full signature, rerunning a finished or
-interrupted scenario recomputes only the missing units.
+Seed derivation is positional: a point's matrix-axis indices are the seed
+coordinates of its work units (plus the repetition index for random task
+sets), so ``examples/scenarios/figure6a.toml`` and ``repro figure6a`` compile
+to the identical units — and because every unit is keyed in the result store
+by a content hash of its full signature, rerunning a finished or interrupted
+scenario recomputes only the missing units.
 """
 
 from __future__ import annotations

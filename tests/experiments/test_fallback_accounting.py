@@ -3,11 +3,12 @@
 A batched comparison that cannot vectorize a unit silently took the compiled
 fallback before this accounting existed; now every fallback surfaces as a
 ``"batch:<reason>"`` (simulation) or ``"solve:<reason>"`` (planning) tally on
-the :class:`ComparisonResult`, sweeps merge them, and a sweep that falls back
-for more than half its units warns once.
+the :class:`ComparisonResult`, scenario runs merge them, and a run that falls
+back for more than half its units warns once.
 """
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -20,8 +21,9 @@ from repro.experiments.harness import (
     make_schedulers,
     warn_if_excessive_fallback,
 )
-from repro.experiments.sweep import SweepConfig, run_sweep
 from repro.power.presets import ideal_processor
+from repro.reporting.serialization import scenario_result_to_dict
+from repro.scenarios import ScenarioEngine, ScenarioSpec
 
 PROCESSOR = ideal_processor(fmax=1000.0)
 SCHEDULERS = ("max_speed", "wcs")
@@ -29,6 +31,16 @@ TASKSET = TaskSet([
     Task("a", period=10, wcec=1800, acec=1000, bcec=300),
     Task("b", period=20, wcec=4200, acec=2400, bcec=900),
 ], name="fallback")
+
+
+def sweep_spec(repetitions, methods, engine="compiled"):
+    return ScenarioSpec.from_dict({
+        "kind": "comparison",
+        "name": "fallback-sweep",
+        "taskset": {"source": "random", "n_tasks": 2, "periods": [10.0, 20.0]},
+        "offline": {"methods": list(methods), "baseline": "max_speed"},
+        "simulation": {"hyperperiods": 2, "repetitions": repetitions, "engine": engine},
+    })
 
 
 def run_comparison(config):
@@ -71,26 +83,23 @@ class TestComparisonTallies:
 
 class TestSweepSummary:
     def test_sweep_merges_tallies_and_warns_when_excessive(self):
-        cfg = SweepConfig(n_tasksets=2, n_tasks=2, n_hyperperiods=2,
-                          periods=(10.0, 20.0), schedulers=("max_speed", "wcs"),
-                          baseline="max_speed", batched=True)
+        spec = sweep_spec(2, ("max_speed", "wcs"), engine="batched")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fully vectorized sweep stays silent
-            clean = run_sweep(cfg)
-        assert clean.fallback_summary() == {}
-        assert clean.total_units() == 4
+            clean = ScenarioEngine().run(spec)
+        assert clean.fallback_reasons == {}
+        (point,) = clean.points
+        assert point["jobs"] * len(point["methods"]) == 4
+        traced = replace(spec, simulation=replace(spec.simulation, trace=True))
+        with pytest.warns(RuntimeWarning, match="fell back for 4/4"):
+            noisy = ScenarioEngine().run(traced)
+        assert noisy.fallback_reasons == {"batch:trace": 4}
 
     def test_serialized_sweep_carries_the_summary(self):
-        from repro.reporting.serialization import sweep_result_to_dict
-
-        cfg = SweepConfig(n_tasksets=1, n_tasks=2, n_hyperperiods=2,
-                          periods=(10.0, 20.0), schedulers=("max_speed",),
-                          baseline="max_speed")
-        data = sweep_result_to_dict(run_sweep(cfg))
-        # Non-default-only keys: a clean, non-batched sweep serializes exactly
-        # as it did before fallback accounting existed.
+        data = scenario_result_to_dict(ScenarioEngine().run(sweep_spec(1, ("max_speed",))))
+        # Non-default-only key: a clean sweep serializes exactly as it did
+        # before fallback accounting existed.
         assert "fallback_reasons" not in data
-        assert "batched" not in data["config"]
 
 
 class TestWarning:

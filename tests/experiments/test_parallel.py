@@ -12,16 +12,25 @@ from repro.experiments.harness import (
     scheduler_names,
 )
 from repro.experiments.seeding import derive_rng, derive_seed
-from repro.experiments.sweep import SweepConfig, run_sweep
-from repro.reporting.serialization import sweep_result_to_dict
+from repro.reporting.serialization import scenario_result_to_dict
+from repro.scenarios import MemoryStore, ScenarioEngine, ScenarioSpec
 
 #: Divisor-friendly pool: hyperperiod ≤ 20, so the NLPs stay tiny and fast.
-_FAST_PERIODS = (10.0, 20.0)
+_FAST_PERIODS = [10.0, 20.0]
+
+#: The `repro sweep` shape: one point, one random task set per repetition.
+FAST_SWEEP = ScenarioSpec.from_dict({
+    "kind": "comparison",
+    "name": "sweep",
+    "taskset": {"source": "random", "n_tasks": 2, "periods": _FAST_PERIODS},
+    "simulation": {"hyperperiods": 4, "seed": 42, "repetitions": 3},
+})
 
 
-def _fast_sweep_config(jobs: int) -> SweepConfig:
-    return SweepConfig(n_tasksets=3, n_tasks=2, n_hyperperiods=4, seed=42,
-                       jobs=jobs, periods=_FAST_PERIODS)
+def _run_sweep(jobs: int):
+    """Run FAST_SWEEP; returns the result and the engine (whose store holds the payloads)."""
+    engine = ScenarioEngine(MemoryStore())
+    return engine.run(FAST_SWEEP, n_jobs=jobs), engine
 
 
 class TestSeedDerivation:
@@ -97,42 +106,40 @@ class TestComparisonJob:
 
 class TestSerialParallelEquivalence:
     def test_sweep_results_bitwise_identical(self):
-        serial = run_sweep(_fast_sweep_config(jobs=1))
-        parallel = run_sweep(_fast_sweep_config(jobs=2))
-        for left, right in zip(serial.results, parallel.results):
-            assert left.taskset_name == right.taskset_name
-            for method in ("wcs", "acs"):
-                # Bitwise: exact float equality, not approx.
-                assert left.energy(method) == right.energy(method)
-                assert (left.outcomes[method].simulation.energy_per_hyperperiod
-                        == right.outcomes[method].simulation.energy_per_hyperperiod)
+        serial, serial_engine = _run_sweep(jobs=1)
+        parallel, parallel_engine = _run_sweep(jobs=2)
+        keys = list(serial_engine.compile(FAST_SWEEP).units)
+        assert len(keys) == 3
+        for key in keys:
+            left, right = serial_engine.store.get(key), parallel_engine.store.get(key)
+            assert left["taskset"] == right["taskset"]
+            # Bitwise: exact float equality of every method's energies, not approx.
+            assert left["methods"] == right["methods"]
         assert serial.to_markdown() == parallel.to_markdown()
 
     def test_sweep_json_identical_up_to_wall_clock(self):
-        serial = sweep_result_to_dict(run_sweep(_fast_sweep_config(jobs=1)))
-        parallel = sweep_result_to_dict(run_sweep(_fast_sweep_config(jobs=2)))
+        serial = scenario_result_to_dict(_run_sweep(jobs=1)[0])
+        parallel = scenario_result_to_dict(_run_sweep(jobs=2)[0])
         serial.pop("elapsed_seconds")
         parallel.pop("elapsed_seconds")
-        config_serial = serial["config"].pop("jobs")
-        config_parallel = parallel["config"].pop("jobs")
-        assert (config_serial, config_parallel) == (1, 2)
         assert serial == parallel
 
     def test_rerun_is_reproducible(self):
-        first = run_sweep(_fast_sweep_config(jobs=1))
-        second = run_sweep(_fast_sweep_config(jobs=1))
+        first, _ = _run_sweep(jobs=1)
+        second, _ = _run_sweep(jobs=1)
         assert first.to_markdown() == second.to_markdown()
 
 
 class TestFigureParallelEquivalence:
     def test_figure6a_jobs_equivalent(self):
-        from repro.experiments.figure6a import Figure6aConfig, run_figure6a
-        base = dict(task_counts=(2,), bcec_wcec_ratios=(0.1, 0.5),
-                    tasksets_per_point=2, hyperperiods_per_taskset=3, seed=11,
-                    periods=_FAST_PERIODS)
-        serial = run_figure6a(Figure6aConfig(jobs=1, **base))
-        parallel = run_figure6a(Figure6aConfig(jobs=2, **base))
-        for left, right in zip(serial.points, parallel.points):
-            assert left.mean_improvement_percent == right.mean_improvement_percent
-            assert left.mean_wcs_energy == right.mean_wcs_energy
-            assert left.mean_acs_energy == right.mean_acs_energy
+        spec = ScenarioSpec.from_dict({
+            "kind": "comparison",
+            "name": "figure6a",
+            "taskset": {"source": "random", "periods": _FAST_PERIODS},
+            "simulation": {"hyperperiods": 3, "seed": 11, "repetitions": 2},
+            "matrix": {"taskset.n_tasks": [2], "taskset.ratio": [0.1, 0.5]},
+        })
+        serial = ScenarioEngine().run(spec, n_jobs=1)
+        parallel = ScenarioEngine().run(spec, n_jobs=2)
+        # Exact equality of every improvement and WCS/ACS energy aggregate.
+        assert serial.points == parallel.points

@@ -1,20 +1,14 @@
-"""Tests for the online speed-selection policies (via the deprecated dvs shim)."""
-
-import importlib
-import warnings
+"""Tests for the online speed-selection policies."""
 
 import pytest
 
-with warnings.catch_warnings():
-    # The shim warns on import by design; the warning itself is asserted below.
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro.runtime.dvs import (
-        GreedySlackPolicy,
-        NoReclamationPolicy,
-        ProportionalSlackPolicy,
-        SpeedRequest,
-        get_slack_policy,
-    )
+from repro.runtime.policies import (
+    GreedySlackPolicy,
+    NoReclamationPolicy,
+    ProportionalSlackPolicy,
+    SpeedRequest,
+    get_slack_policy,
+)
 
 
 def make_request(**overrides):
@@ -74,30 +68,6 @@ class TestProportional:
     def test_zero_job_remaining(self, processor):
         frequency = ProportionalSlackPolicy().frequency(processor, make_request(job_wc_remaining=0.0))
         assert frequency == processor.fmin
-
-
-class TestCompatShim:
-    """`repro.runtime.dvs` must stay a faithful, loudly deprecated re-export."""
-
-    def test_import_emits_deprecation_warning(self):
-        import repro.runtime.dvs as dvs
-
-        # Module-level warnings only fire at (re-)import time.
-        with pytest.warns(DeprecationWarning, match="repro.runtime.policies"):
-            importlib.reload(dvs)
-
-    def test_reexports_stay_in_sync_with_policies_all(self):
-        import repro.runtime.dvs as dvs
-        import repro.runtime.policies as policies
-
-        assert set(dvs.__all__) == set(policies.__all__), (
-            "repro.runtime.dvs re-exports diverged from repro.runtime.policies.__all__; "
-            "update the shim when the policy layer grows"
-        )
-        for name in policies.__all__:
-            assert getattr(dvs, name) is getattr(policies, name), (
-                f"shim attribute {name} is not the policies object"
-            )
 
 
 class TestRegistry:

@@ -12,7 +12,7 @@ from repro.offline.wcs import WCSScheduler
 from repro.analysis.preemption import expand_fully_preemptive
 from repro.power.transition import TransitionModel
 from repro.power.voltage import VoltageLevels
-from repro.runtime.dvs import GreedySlackPolicy, NoReclamationPolicy, ProportionalSlackPolicy
+from repro.runtime.policies import GreedySlackPolicy, NoReclamationPolicy, ProportionalSlackPolicy
 from repro.runtime.simulator import DVSSimulator, SimulationConfig
 from repro.workloads.distributions import FixedWorkload, NormalWorkload
 

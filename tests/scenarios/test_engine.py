@@ -1,14 +1,12 @@
-"""Engine equivalence: scenarios reproduce the hand-written experiment modules bitwise."""
+"""Scenario engine: compilation, the CLI front-ends' documents, and equivalences."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.figure6a import Figure6aConfig, run_figure6a
-from repro.experiments.figure6b import Figure6bConfig, run_figure6b
+from repro.cli import build_parser
 from repro.experiments.motivation import run_motivation
-from repro.experiments.scalability import ScalabilityConfig, run_scalability
 from repro.scenarios import ScenarioEngine, ScenarioSpec, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -97,80 +95,62 @@ class TestTraceAndArrivalsSignatures:
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="TOML scenario files need tomllib")
-class TestFigure6aAcceptance:
-    """The committed figure6a scenario reproduces `repro figure6a` bit for bit."""
+class TestCliDocumentsMatchCommittedSpecs:
+    """Each experiment subcommand's scenario document compiles to exactly the
+    work units of the committed TOML under the matching profile, so the CLI
+    and ``repro run examples/scenarios/<name>.toml`` can never drift apart."""
 
-    def test_smoke_profile_matches_run_figure6a_quick_bitwise(self):
-        spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / "figure6a.toml",
-                             profile="smoke")
-        result = ScenarioEngine().run(spec)
-        reference = run_figure6a(Figure6aConfig(
-            task_counts=(2, 4), tasksets_per_point=2,
-            hyperperiods_per_taskset=5, seed=2005))
-        for point in reference.points:
-            ours = result.point(n_tasks=point.n_tasks, ratio=point.bcec_wcec_ratio)
-            acs = ours["methods"]["acs"]
-            wcs = ours["methods"]["wcs"]
-            # Exact float equality on purpose: the scenario path must compile
-            # to the identical jobs, seeds and aggregation as the figure module.
-            assert acs["mean_improvement_percent"] == point.mean_improvement_percent
-            assert acs["std_improvement_percent"] == point.std_improvement_percent
-            assert acs["mean_energy_per_hyperperiod"] == point.mean_acs_energy
-            assert wcs["mean_energy_per_hyperperiod"] == point.mean_wcs_energy
-            assert ours["deadline_misses"] == point.deadline_misses
+    @staticmethod
+    def cli_units(argv):
+        args = build_parser().parse_args(argv)
+        spec = ScenarioSpec.from_dict(args.document(args))
+        return list(ScenarioEngine().compile(spec).units)
 
-    def test_default_profile_compiles_to_the_default_figure6a_workload(self):
-        """Same sweep shape as Figure6aConfig() without executing the jobs."""
-        spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / "figure6a.toml")
-        compiled = ScenarioEngine().compile(spec)
-        default = Figure6aConfig()
-        expected_points = len(default.task_counts) * len(default.bcec_wcec_ratios)
-        assert len(compiled.points) == expected_points
-        assert len(compiled.units) == expected_points * default.tasksets_per_point
-        assert spec.simulation.hyperperiods == default.hyperperiods_per_taskset
-        assert spec.simulation.seed == default.seed
+    @staticmethod
+    def toml_units(name, profile):
+        spec = load_scenario(REPO_ROOT / "examples" / "scenarios" / f"{name}.toml",
+                             profile=profile)
+        return list(ScenarioEngine().compile(spec).units)
 
-
-class TestFigure6bEquivalence:
-    def test_case_study_axis_matches_run_figure6b_bitwise(self):
-        spec = ScenarioSpec.from_dict({
-            "kind": "comparison",
-            "name": "fig6b-cnc",
-            "taskset": {"source": "cnc", "utilization": 0.7},
-            "simulation": {"hyperperiods": 2, "seed": 2005},
-            "matrix": {"taskset.source": ["cnc"], "taskset.ratio": [0.1, 0.5]},
-        })
-        result = ScenarioEngine().run(spec)
-        reference = run_figure6b(Figure6bConfig(
-            applications=("cnc",), bcec_wcec_ratios=(0.1, 0.5),
-            hyperperiods_per_point=2, seed=2005))
-        for point in reference.points:
-            ours = result.point(source=point.application, ratio=point.bcec_wcec_ratio)
-            assert ours["methods"]["acs"]["mean_improvement_percent"] == point.improvement_percent
-            assert ours["methods"]["wcs"]["mean_energy_per_hyperperiod"] == point.wcs_energy
-            assert ours["methods"]["acs"]["mean_energy_per_hyperperiod"] == point.acs_energy
+    @pytest.mark.parametrize("argv,name,profile", [
+        (["figure6a"], "figure6a", None),
+        (["figure6a", "--quick"], "figure6a", "smoke"),
+        (["figure6a", "--full"], "figure6a", "full"),
+        (["figure6b"], "figure6b", None),
+        (["figure6b", "--quick"], "figure6b", "smoke"),
+        (["figure6b", "--full"], "figure6b", "full"),
+        (["scalability"], "scalability", None),
+        (["scalability", "--quick"], "scalability", "smoke"),
+    ])
+    def test_subcommand_compiles_to_the_committed_units(self, argv, name, profile):
+        units = self.cli_units(argv)
+        assert units  # a vacuous match would hide a broken document
+        assert units == self.toml_units(name, profile)
 
 
-class TestScalabilityEquivalence:
-    def test_multicore_grid_matches_run_scalability_bitwise(self):
-        spec = ScenarioSpec.from_dict({
-            "kind": "multicore",
-            "name": "scal",
-            "taskset": {"source": "cnc", "ratio": 0.5, "utilization": 0.7},
-            "offline": {"methods": ["acs"], "baseline": "acs"},
-            "simulation": {"hyperperiods": 5, "seed": 2005},
-            "multicore": {"cores": [1, 2], "partitioners": ["ffd", "wfd"]},
-        })
-        result = ScenarioEngine().run(spec)
-        reference = run_scalability(ScalabilityConfig(
-            core_counts=(1, 2), partitioners=("ffd", "wfd"), n_hyperperiods=5))
-        for point in reference.points:
-            ours = result.point(cores=point.n_cores, partitioner=point.partitioner)
-            assert ours["mean_energy_per_hyperperiod"] == point.mean_energy_per_hyperperiod
-            assert ours["total_energy"] == point.total_energy
-            assert ours["max_core_utilization"] == point.max_core_utilization
-            assert ours["used_cores"] == point.used_cores
-            assert ours["deadline_misses"] == point.deadline_misses
+class TestSweepDocument:
+    """`repro sweep` keeps its single-point, per-taskset seed coordinates."""
+
+    def test_repetitions_are_the_taskset_coordinates(self):
+        from repro.experiments.harness import ComparisonConfig, random_comparison_job
+        from repro.power.presets import ideal_processor
+        from repro.runtime.policies import get_policy
+        from repro.scenarios.engine import _comparison_signature
+        from repro.workloads.random_tasksets import RandomTaskSetConfig
+
+        args = build_parser().parse_args(["sweep", "--quick", "--policy", "lookahead"])
+        compiled = ScenarioEngine().compile(ScenarioSpec.from_dict(args.document(args)))
+        taskset_config = RandomTaskSetConfig(n_tasks=3, target_utilization=0.7,
+                                             bcec_wcec_ratio=0.5,
+                                             periods=(10.0, 20.0, 40.0))
+        config = ComparisonConfig(n_hyperperiods=5, seed=2005,
+                                  policy=get_policy("lookahead"))
+        expected = [
+            _comparison_signature(random_comparison_job(
+                ideal_processor(), taskset_config, config, index, taskset_index=index))
+            for index in range(2)
+        ]
+        assert [_comparison_signature(job) for job in compiled.units.values()] == expected
 
 
 class TestMotivationEquivalence:

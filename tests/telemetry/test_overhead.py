@@ -2,8 +2,8 @@
 
 Mirrors ``tests/runtime/test_trace_overhead.py``: every span class the
 collector can construct is replaced with a raising constructor, and a
-telemetry-off run of the full sweep pipeline (plan → batched simulate →
-aggregate) must still complete with bitwise-identical results — while a
+telemetry-off scenario run of the full pipeline (compile → plan → batched
+simulate → aggregate) must still complete with bitwise-identical results — while a
 telemetry-on run must trip the guard.
 
 ``Stopwatch`` is deliberately *excluded* from the tripwire list: the
@@ -15,15 +15,23 @@ cost.
 
 import pytest
 
-from repro.experiments.sweep import SweepConfig, run_sweep
-from repro.reporting.serialization import sweep_result_to_dict
+from repro.reporting.serialization import scenario_result_to_dict
+from repro.scenarios import ScenarioEngine, ScenarioSpec
 from repro.telemetry import Telemetry, using
 
 #: Every class the collector allocates on the *enabled* path.
 SPAN_CLASS_NAMES = ("Span", "SpanHandle")
 
-TINY_SWEEP = SweepConfig(n_tasksets=1, n_tasks=2, n_hyperperiods=2,
-                         periods=(10.0, 20.0), batched=True)
+TINY_SWEEP = ScenarioSpec.from_dict({
+    "kind": "comparison",
+    "name": "tiny-sweep",
+    "taskset": {"source": "random", "n_tasks": 2, "periods": [10.0, 20.0]},
+    "simulation": {"hyperperiods": 2, "repetitions": 1, "engine": "batched"},
+})
+
+
+def run_sweep(spec):
+    return ScenarioEngine().run(spec)
 
 
 class _Tripwire:
@@ -43,7 +51,7 @@ def _arm_tripwires(monkeypatch):
 
 
 def _normalised(result):
-    data = sweep_result_to_dict(result)
+    data = scenario_result_to_dict(result)
     data.pop("elapsed_seconds", None)
     return data
 
@@ -70,7 +78,7 @@ def test_telemetry_on_does_not_change_results():
     with using(Telemetry()) as telemetry:
         observed = run_sweep(TINY_SWEEP)
     assert _normalised(observed) == _normalised(baseline)
-    assert any(span.name == "sweep.run" for span in telemetry.spans)
+    assert any(span.name == "scenario.run" for span in telemetry.spans)
 
 
 def test_tripwire_names_are_exhaustive():

@@ -22,6 +22,32 @@ class TestParser:
         args = build_parser().parse_args(["figure6a", "--quick", "--seed", "11"])
         assert args.quick and args.seed == 11
 
+    @pytest.mark.parametrize("command", ["figure6a", "figure6b"])
+    def test_quick_and_full_are_mutually_exclusive(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--quick", "--full"])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["figure6a", "--quick", "--seed", "3", "--jobs", "2"],
+        ["figure6b", "--full", "--seed", "3", "--jobs", "2"],
+        ["sweep", "--tasksets", "3", "--tasks", "2", "--ratio", "0.1",
+         "--utilization", "0.6", "--hyperperiods", "4", "--seed", "3",
+         "--policy", "static", "--jobs", "2", "--quick", "--output", "x.json"],
+        ["scalability", "--cores", "1,4", "--partitioners", "ffd", "--app", "gap",
+         "--method", "wcs", "--policy", "lookahead", "--ratio", "0.3",
+         "--hyperperiods", "4", "--seed", "3", "--jobs", "2", "--quick",
+         "--output", "x.json"],
+    ])
+    def test_experiment_flags_build_a_valid_document(self, argv):
+        from repro.scenarios import ScenarioSpec
+
+        args = build_parser().parse_args(argv)
+        spec = ScenarioSpec.from_dict(args.document(args))
+        assert spec.name == argv[0]
+        assert spec.simulation.seed == 3
+
     def test_figure_jobs_flag(self):
         args = build_parser().parse_args(["figure6a", "--jobs", "4"])
         assert args.jobs == 4
@@ -75,7 +101,8 @@ class TestMain:
     def test_figure6b_quick_runs(self, capsys):
         assert main(["figure6b", "--quick"]) == 0
         output = capsys.readouterr().out
-        assert "CNC" in output and "GAP" in output
+        assert "| cnc" in output and "| gap" in output
+        assert "units: computed=6 skipped=0 (store: disabled)" in output
 
     def test_simulate_demo_all_policies(self, capsys):
         assert main(["simulate", "--app", "demo", "--policy", "all",
@@ -112,6 +139,7 @@ class TestMain:
         ["simulate", "--app", "demo", "--policy", "oracle"],
         ["simulate", "--app", "demo", "--policy", ""],
         ["sweep", "--quick", "--jobs", "0"],
+        ["sweep", "--quick", "--tasksets", "0"],
     ])
     def test_bad_arguments_fail_cleanly(self, argv, capsys):
         assert main(argv) == 2
@@ -137,7 +165,7 @@ class TestMain:
     def test_scalability_quick_runs(self, capsys):
         assert main(["scalability", "--quick", "--partitioners", "ffd,wfd"]) == 0
         output = capsys.readouterr().out
-        assert "energy improvement over m=1" in output
+        assert "improvement vs m=1 %" in output
         assert "wall-clock" in output
 
     @pytest.mark.parametrize("argv", [
@@ -145,6 +173,7 @@ class TestMain:
         ["partition", "--app", "demo", "--jobs", "0"],
         ["scalability", "--cores", "two"],
         ["scalability", "--cores", ""],
+        ["scalability", "--partitioners", "oracle"],
     ])
     def test_partition_bad_arguments_fail_cleanly(self, argv, capsys):
         assert main(argv) == 2
@@ -154,9 +183,11 @@ class TestMain:
         target = tmp_path / "sweep.json"
         assert main(["sweep", "--quick", "--output", str(target)]) == 0
         output = capsys.readouterr().out
-        assert "mean energy / hyperperiod" in output
+        assert "| wcs energy | acs energy | acs improvement % | misses |" in output
         assert "wall-clock" in output
         import json
         data = json.loads(target.read_text())
-        assert data["config"]["policy"] == "greedy"
-        assert len(data["results"]) == data["config"]["n_tasksets"]
+        assert data["scenario"]["online"]["policy"] == "greedy"
+        (point,) = data["points"]
+        assert point["jobs"] == data["scenario"]["simulation"]["repetitions"] == 2
+        assert data["computed"] == 2
