@@ -23,15 +23,14 @@ narrower than ~100 units should stay on the compiled engine.
 
 The ``*_plan_*`` benchmarks isolate the other stage: the offline NLP solves.
 ``plan_sequential`` times the historical per-scheduler loop,
-``plan_batched`` the cross-problem coordinator (every solve of the sweep
-advancing in lock-step against stacked objective evaluations) with a fresh
-memo per round, and ``plan_memo_warm`` the resume path — a pre-warmed solve
+``plan_batched`` ``plan_expansions`` (every program of the sweep advancing
+in lock-step waves, identical in-wave solves done once) with a fresh memo
+per round, and ``plan_memo_warm`` the resume path — a pre-warmed solve
 memo replays every schedule with **zero** optimizer calls, which is where
-the real-world speedup lives (resumed, repeated and reseeded sweeps).  On a
-single core the cold batched path is roughly cost-neutral — stacking the
-objective evaluations cannot dodge SLSQP's own serial C iterations — so the
-cold pair is tracked for parity, the warm number for the win.  All three
-must agree bitwise with the sequential reference.
+the real-world speedup lives (resumed, repeated and reseeded sweeps).  The
+cold batched path beats the sequential loop only by the duplicate solves it
+skips (each ACS program's WCS seed repeats its WCS program's solve).  All
+three must agree bitwise with the sequential reference.
 """
 
 from dataclasses import replace
@@ -203,7 +202,7 @@ def _plan_sequential(items):
 
 def _plan_batched(items):
     # Fresh empty memo per call: every timed round re-solves the whole
-    # sweep, so the number measures the coordinator, not the cache.
+    # sweep, so the number measures wave planning, not the cache.
     return plan_expansions(items, memo=SolveMemo())
 
 
@@ -231,7 +230,8 @@ def test_figure6a_plan_sequential(benchmark, plan_items):
 
 
 def test_figure6a_plan_batched(benchmark, plan_items):
-    """Offline planning through the batched coordinator, cold memo every round."""
+    """Offline planning through ``plan_expansions`` (lock-step waves, in-wave
+    deduplication, sequential solves), cold memo every round."""
     results = benchmark.pedantic(_plan_batched, args=(plan_items,),
                                  rounds=3, iterations=1)
     _assert_plans_identical(results, _plan_sequential(plan_items))

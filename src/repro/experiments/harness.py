@@ -84,38 +84,32 @@ class ComparisonConfig:
     baseline: str = "wcs"
     workload: WorkloadModel = field(default_factory=NormalWorkload)
     policy: DVSPolicy = field(default_factory=GreedySlackPolicy)
-    simulation: SimulationConfig = None
     #: Run the simulator's compiled event loop (identical results either way;
-    #: ``False`` pins the reference loop, e.g. for equivalence sweeps).  Only
-    #: consulted when ``simulation`` is unset — an explicit
-    #: :class:`SimulationConfig` carries its own ``fast_path`` and wins.
+    #: ``False`` pins the reference loop, e.g. for equivalence sweeps).
     fast_path: bool = True
     #: Route the simulations through the structure-of-arrays engine of
     #: :mod:`repro.runtime.batched`: one comparison advances all its method
     #: simulations in lock-step, and :func:`iter_comparisons` additionally
     #: batches *across* comparison jobs.  Bitwise-identical results either
-    #: way.  Like ``fast_path``, only consulted when ``simulation`` is unset.
+    #: way.
     batched: bool = False
     #: Record the typed event stream on every method's
     #: :class:`~repro.runtime.results.SimulationResult` (see
     #: :mod:`repro.runtime.trace`).  Batched units fall back per unit to the
-    #: compiled loop.  Only consulted when ``simulation`` is unset.
+    #: compiled loop.
     trace: bool = False
     #: Optional arrival model perturbing the job releases (``None`` is the
-    #: paper's strictly periodic model).  Only consulted when ``simulation``
-    #: is unset.
+    #: paper's strictly periodic model).
     arrivals: Optional["ArrivalModel"] = None
-    #: Plan the offline schedules through the batched solver
-    #: (:mod:`repro.offline.batched_solver`): one comparison's NLP solves run
-    #: concurrently against a stacked evaluation, share the content-addressed
-    #: solve memo, and — in batch execution — join the solver pool of the
-    #: whole chunk.  Bitwise-identical schedules either way; ``False`` pins
-    #: the per-scheduler sequential solves (e.g. for equivalence sweeps).
+    #: Plan the offline schedules through the batched planner
+    #: (:mod:`repro.offline.batched_solver`): one comparison's scheduler
+    #: programs advance in lock-step waves, share the content-addressed
+    #: solve memo, and — in batch execution — join the waves of the whole
+    #: chunk.  Bitwise-identical schedules either way; ``False`` pins the
+    #: per-scheduler sequential solves (e.g. for equivalence sweeps).
     batched_planning: bool = True
 
     def simulation_config(self) -> SimulationConfig:
-        if self.simulation is not None:
-            return self.simulation
         return SimulationConfig(n_hyperperiods=self.n_hyperperiods, seed=self.seed,
                                 fast_path=self.fast_path, batched=self.batched,
                                 trace=self.trace, arrivals=self.arrivals)
@@ -152,13 +146,11 @@ class MethodOutcome:
 class ComparisonResult:
     """Outcome of :func:`compare_schedulers` on one task set.
 
-    ``fallback_reasons`` tallies, per reason, how often this comparison's
-    batched stages had to take a per-unit sequential path: keys are
-    ``"batch:<reason>"`` (a simulation unit fell back from the SoA engine
-    to the compiled loop) and ``"solve:<reason>"`` (an NLP solve fell back
-    from the stacked coordinator).  Empty when nothing fell back — and
-    always empty for non-batched runs, whose sequential paths are the
-    chosen route, not a fallback.
+    ``fallback_reasons`` tallies, per reason, how many of this comparison's
+    simulation units fell back from the batched SoA engine to the compiled
+    loop, keyed ``"batch:<reason>"``.  Empty when nothing fell back — and
+    always empty for non-batched runs, whose sequential loop is the chosen
+    route, not a fallback.
     """
 
     taskset_name: str
@@ -286,23 +278,13 @@ def _resolve_solve_memo(solve_memo_root: Optional[str]) -> SolveMemo:
 
 def _plan_schedules(expansion, methods: Dict[str, VoltageScheduler],
                     cfg: ComparisonConfig,
-                    solve_memo: Optional[SolveMemo],
-                    fallback_out: Optional[Dict[str, int]] = None) -> Dict[str, StaticSchedule]:
-    """Offline-plan one comparison's methods, batched or sequential per config.
-
-    ``fallback_out``, when given, receives the ``solve_fallback_reason``
-    tally of the batched planner (sequential planning is a configuration
-    choice, not a fallback, and contributes nothing).
-    """
+                    solve_memo: Optional[SolveMemo]) -> Dict[str, StaticSchedule]:
+    """Offline-plan one comparison's methods, batched or sequential per config."""
     if cfg.batched_planning:
-        group_reasons: Optional[List[Dict[str, int]]] = [] if fallback_out is not None else None
         (schedules,) = plan_expansions(
             [(expansion, methods)],
             memo=solve_memo if solve_memo is not None else default_solve_memo(),
-            fallback_out=group_reasons,
         )
-        if fallback_out is not None and group_reasons:
-            fallback_out.update(aggregate_fallback_reasons(group_reasons))
         return schedules
     return {name: scheduler.schedule_expansion(expansion)
             for name, scheduler in methods.items()}
@@ -313,7 +295,6 @@ def _prepare_units(taskset: TaskSet, processor: ProcessorModel,
                    cfg: ComparisonConfig,
                    schedules: Optional[Dict[str, StaticSchedule]] = None,
                    solve_memo: Optional[SolveMemo] = None,
-                   plan_fallback_out: Optional[Dict[str, int]] = None,
                    ) -> Tuple[Dict[str, StaticSchedule], List[BatchUnit]]:
     """Schedules plus one simulation work unit per method for one comparison.
 
@@ -326,8 +307,7 @@ def _prepare_units(taskset: TaskSet, processor: ProcessorModel,
     """
     if schedules is None:
         expansion = expand_fully_preemptive(taskset)
-        schedules = _plan_schedules(expansion, methods, cfg, solve_memo,
-                                    fallback_out=plan_fallback_out)
+        schedules = _plan_schedules(expansion, methods, cfg, solve_memo)
     sim_config = cfg.simulation_config()
     units = [
         BatchUnit(schedule=schedules[name], processor=processor,
@@ -351,13 +331,9 @@ def compare_schedulers(taskset: TaskSet, processor: ProcessorModel,
         )
 
     fallback_reasons: Dict[str, int] = {}
-    plan_reasons: Dict[str, int] = {}
     schedules, units = _prepare_units(taskset, processor, methods, cfg,
-                                      solve_memo=solve_memo,
-                                      plan_fallback_out=plan_reasons)
-    for reason, count in plan_reasons.items():
-        fallback_reasons["solve:" + reason] = count
-    if cfg.simulation_config().batched:
+                                      solve_memo=solve_memo)
+    if cfg.batched:
         for unit in units:
             reason = batch_fallback_reason(unit)
             if reason is not None:
@@ -460,10 +436,10 @@ def _execute_comparison_batch(jobs: Sequence[ComparisonJob],
     Every ``(job, method)`` pair becomes one :class:`BatchUnit`; the batched
     engine advances all of them together.  Offline planning is batched the
     same way: the programs of every ``batched_planning`` job in the chunk
-    join one solver pool, so their SLSQP evaluations stack across jobs and
-    identical solves collapse into the memo.  Each unit still carries its
-    own generator and policy copy, so the results are bitwise-identical to
-    executing the jobs one by one (the batched engine's own contract).
+    advance in shared waves, so identical solves across jobs collapse into
+    one solve and the memo.  Each unit still carries its own generator and
+    policy copy, so the results are bitwise-identical to executing the jobs
+    one by one (the batched engine's own contract).
     Module-level so the process pool can pickle it.
     """
     solve_memo = _resolve_solve_memo(solve_memo_root)
@@ -480,14 +456,11 @@ def _execute_comparison_batch(jobs: Sequence[ComparisonJob],
 
     batchable = [index for index, (_, _, _, cfg, _) in enumerate(entries)
                  if cfg.batched_planning]
-    group_reasons: List[Dict[str, int]] = []
     planned = plan_expansions(
         [(entries[index][4], entries[index][2]) for index in batchable],
         memo=solve_memo,
-        fallback_out=group_reasons,
     )
     planned_schedules: Dict[int, Dict[str, StaticSchedule]] = dict(zip(batchable, planned))
-    plan_reasons: Dict[int, Dict[str, int]] = dict(zip(batchable, group_reasons))
 
     prepared = []
     units: List[BatchUnit] = []
@@ -498,10 +471,7 @@ def _execute_comparison_batch(jobs: Sequence[ComparisonJob],
                          for name, scheduler in methods.items()}
         schedules, job_units = _prepare_units(taskset, job.processor, methods, cfg,
                                               schedules=schedules)
-        fallback_reasons = {
-            "solve:" + reason: count
-            for reason, count in plan_reasons.get(index, {}).items()
-        }
+        fallback_reasons: Dict[str, int] = {}
         for unit in job_units:
             reason = batch_fallback_reason(unit)
             if reason is not None:
@@ -526,7 +496,6 @@ def _execute_comparison_batch(jobs: Sequence[ComparisonJob],
 
 
 def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
-                     chunksize: int = 1,
                      solve_memo_root: Optional[str] = None) -> Iterator[ComparisonResult]:
     """Execute comparison jobs, yielding each result as soon as it is known.
 
@@ -545,7 +514,7 @@ def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
     if n_jobs < 1:
         raise ExperimentError("n_jobs must be at least 1")
     jobs = list(jobs)
-    if all(job.config.simulation_config().batched for job in jobs) and len(jobs) > 1:
+    if all(job.config.batched for job in jobs) and len(jobs) > 1:
         if n_jobs == 1:
             yield from _execute_comparison_batch(jobs, solve_memo_root=solve_memo_root)
             return
@@ -569,11 +538,10 @@ def iter_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
     run_job = functools.partial(_execute_comparison_job,
                                 solve_memo_root=solve_memo_root)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run_job, jobs, chunksize=chunksize)
+        yield from pool.map(run_job, jobs)
 
 
 def run_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
-                    chunksize: int = 1,
                     solve_memo_root: Optional[str] = None) -> List[ComparisonResult]:
     """Execute a batch of comparison jobs, optionally on a process pool.
 
@@ -585,5 +553,4 @@ def run_comparisons(jobs: Sequence[ComparisonJob], n_jobs: int = 1,
     ``solve_memo_root`` (the scenario store's directory) makes the offline
     solve memo persistent, so resumed or repeated sweeps skip solved NLPs.
     """
-    return list(iter_comparisons(jobs, n_jobs=n_jobs, chunksize=chunksize,
-                                 solve_memo_root=solve_memo_root))
+    return list(iter_comparisons(jobs, n_jobs=n_jobs, solve_memo_root=solve_memo_root))

@@ -10,7 +10,6 @@ from .batched_solver import (
     plan_expansions,
     run_program,
     run_programs,
-    solve_fallback_reason,
     solve_tasks,
 )
 from .evaluation import (
@@ -41,7 +40,6 @@ __all__ = [
     "plan_expansions",
     "run_program",
     "run_programs",
-    "solve_fallback_reason",
     "solve_tasks",
     "LiteralNLPScheduler",
     "MaxSpeedScheduler",

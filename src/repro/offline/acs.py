@@ -68,8 +68,8 @@ class ACSScheduler(VoltageScheduler):
         Wave 1 solves the heuristically seeded ACS problem and the WCS warm
         start together; wave 2 re-solves ACS from the WCS solution.  Driven
         sequentially this performs the exact solve sequence documented above;
-        driven by the batched planner the independent wave members share one
-        stacked evaluation.
+        driven by the batched planner the wave-1 WCS warm start meets the
+        identical solve of any WCS program planned alongside and is solved once.
         """
         nlp = ReducedNLP(expansion, self.processor, workload_mode="acec", options=self.options)
         if not self.seed_with_wcs:
@@ -83,7 +83,7 @@ class ACSScheduler(VoltageScheduler):
             candidates = [plain, seeded, StaticSchedule.from_vectors(
                 expansion, wcs_schedule.end_times(), wcs_schedule.wc_budgets(),
                 method="acs",
-                objective_value=float(nlp.objective(wcs_vectors)),
+                objective_value=float(nlp.energy(wcs_vectors)),
                 metadata={**wcs_schedule.metadata, "seed": "wcs-as-is"},
             )]
         best = min(candidates, key=lambda schedule: schedule.objective_value)

@@ -50,7 +50,7 @@ class VoltageScheduler(ABC):
         (:func:`~repro.offline.batched_solver.run_program`) reproduces
         :meth:`schedule_expansion` bitwise; driving many programs together
         (:func:`~repro.offline.batched_solver.run_programs`) lets the batched
-        planner stack their solver evaluations across problems.
+        planner solve identical requests across programs once.
 
         The default delegates to :meth:`schedule_expansion` without yielding —
         right for schedulers that do not solve NLPs.  Schedulers built on

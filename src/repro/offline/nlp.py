@@ -45,11 +45,16 @@ from scipy import optimize
 from ..analysis.preemption import FullyPreemptiveSchedule
 from ..core.errors import SchedulingError
 from ..power.processor import ProcessorModel
+from ..telemetry.core import current as _telemetry
 from .evaluation import CompiledEvaluation, evaluate_vectors
 from .initialization import proportional_budget_vectors, worst_case_simulation_vectors
 from .schedule import StaticSchedule
 
 __all__ = ["ReducedNLP", "SolverOptions"]
+
+#: Telemetry counter names, precomputed so the disabled path allocates nothing.
+_OBJECTIVE_EVALS = "nlp.objective_evaluations"
+_JACOBIAN_EVALS = "nlp.jacobian_evaluations"
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,8 @@ class SolverOptions:
     """Knobs for the scipy-based solver."""
 
     maxiter: int = 200
+    #: SLSQP's convergence tolerance and finite-difference step; other
+    #: ``method`` values run with scipy's own defaults for both.
     ftol: float = 1e-8
     finite_difference_step: float = 1e-6
     method: str = "SLSQP"
@@ -153,11 +160,6 @@ class ReducedNLP:
         self._bounds_upper: Optional[np.ndarray] = None
         self._last_point: Optional[np.ndarray] = None
         self._last_value: float = 0.0
-        #: Optional evaluation backend (the batched planner's coordinator).
-        #: When set, compiled objective/batch evaluations are routed through it
-        #: so many concurrent solves can share one stacked evaluation; the
-        #: backend is contractually bitwise-transparent.
-        self._backend = None
         self._compiled: Optional[List[Tuple[float, CompiledEvaluation]]] = None
         if CompiledEvaluation.supported(self.processor):
             if self.scenarios is not None:
@@ -211,28 +213,32 @@ class ReducedNLP:
     # Objective and constraints
     # ------------------------------------------------------------------ #
     def objective(self, x: np.ndarray) -> float:
+        """The solver's objective: :meth:`energy`, counted as one evaluation.
+
+        Every call adds one ``nlp.objective_evaluations`` to the active
+        telemetry collector.  The last compiled point is memoized: the
+        solver evaluates the objective and then the gradient at the same x,
+        and the gradient needs f0.
+        """
+        _telemetry().count(_OBJECTIVE_EVALS)
+        energy = self.energy(x)
+        if self._compiled is not None:
+            self._last_point = np.array(x, dtype=float)
+            self._last_value = energy
+        return energy
+
+    def energy(self, x: np.ndarray) -> float:
         """Average-case energy of the candidate schedule ``x``.
 
         Dispatches to the compiled scalar evaluation when the processor
         supports it (bitwise-identical to the reference evaluation; see
         :class:`~repro.offline.evaluation.CompiledEvaluation`), otherwise to
-        :meth:`objective_reference`.
+        :meth:`objective_reference`.  Not counted as a solver evaluation:
+        the schedulers use it to rank a fixed candidate schedule.
         """
-        if self._compiled is not None:
-            values = np.asarray(x, dtype=float).tolist()
-            if self._backend is not None:
-                energy = self._backend.evaluate_scalar(self, values)
-            else:
-                energy = self._scalar_energy(values)
-            # Memoize the last point: the solver evaluates the objective and
-            # then the gradient at the same x, and the gradient needs f0.
-            self._last_point = np.array(values)
-            self._last_value = energy
-            return energy
-        return self.objective_reference(x)
-
-    def _scalar_energy(self, values: List[float]) -> float:
-        """Compiled scalar objective of a full variable-value list."""
+        if self._compiled is None:
+            return self.objective_reference(x)
+        values = np.asarray(x, dtype=float).tolist()
         n_subs = self._n_subs
         end_times = values[:n_subs]
         budgets = self._budget_template.copy()
@@ -275,14 +281,7 @@ class ReducedNLP:
             raise SchedulingError(
                 "objective_batch requires the compiled evaluation (linear-law processor)"
             )
-        columns = np.asarray(x_columns, dtype=float)
-        if self._backend is not None:
-            return self._backend.evaluate_batch(self, columns)
-        return self._batch_energy(columns)
-
-    def _batch_energy(self, columns: np.ndarray) -> np.ndarray:
-        """Compiled batched objective of a ``(n_vars, K)`` column matrix."""
-        end_times, budgets = self._unpack_batch(columns)
+        end_times, budgets = self._unpack_batch(np.asarray(x_columns, dtype=float))
         if self.scenarios is not None:
             total_weight = sum(weight for weight, _ in self.scenarios)
             energy = np.zeros(end_times.shape[1])
@@ -304,6 +303,7 @@ class ReducedNLP:
         replication is pinned by a test against
         ``scipy.optimize._numdiff.approx_derivative``.
         """
+        _telemetry().count(_JACOBIAN_EVALS)
         x0 = np.asarray(x, dtype=float)
         if self._last_point is not None and np.array_equal(x0, self._last_point):
             f0 = self._last_value
@@ -439,11 +439,14 @@ class ReducedNLP:
         # The batched jacobian replays scipy's own finite-difference scheme
         # bitwise (see :meth:`jacobian`), so the solver trajectory is
         # identical with or without it — only the wall-clock changes.
+        slsqp = self.options.method == "SLSQP"
         use_vectorized_jacobian = (
-            self._compiled is not None
-            and self.options.vectorized_jacobian
-            and self.options.method == "SLSQP"
+            self._compiled is not None and self.options.vectorized_jacobian and slsqp
         )
+        solver_options = {"maxiter": self.options.maxiter, "disp": self.options.verbose}
+        if slsqp:
+            # SLSQP's own keywords: other methods (trust-constr) reject them.
+            solver_options.update(ftol=self.options.ftol, eps=self.options.finite_difference_step)
         result = optimize.minimize(
             self.objective,
             start,
@@ -451,12 +454,7 @@ class ReducedNLP:
             jac=self.jacobian if use_vectorized_jacobian else None,
             bounds=self.bounds(),
             constraints=self.linear_constraints(),
-            options={
-                "maxiter": self.options.maxiter,
-                "ftol": self.options.ftol,
-                "eps": self.options.finite_difference_step,
-                "disp": self.options.verbose,
-            },
+            options=solver_options,
         )
         end_times, budgets = self.unpack(np.asarray(result.x, dtype=float))
         repaired = self._repair(end_times, budgets)

@@ -100,7 +100,7 @@ class StochasticACSScheduler(VoltageScheduler):
         candidates = [plain, seeded, StaticSchedule.from_vectors(
             expansion, wcs_schedule.end_times(), wcs_schedule.wc_budgets(),
             method=self.name,
-            objective_value=float(nlp.objective(wcs_vectors)),
+            objective_value=float(nlp.energy(wcs_vectors)),
             metadata={**wcs_schedule.metadata, "seed": "wcs-as-is"},
         )]
         best = min(candidates, key=lambda schedule: schedule.objective_value)

@@ -41,6 +41,7 @@ from ..experiments.harness import (
 )
 from ..experiments.motivation import MotivationConfig, run_motivation
 from ..experiments.seeding import SIMULATION_STREAM
+from ..offline.batched_solver import _processor_signature
 from ..power.processor import ProcessorModel
 from ..runtime.multicore import MulticoreRunner
 from ..runtime.policies import get_policy
@@ -73,18 +74,6 @@ AUTO_BATCH_THRESHOLD = 200
 # --------------------------------------------------------------------- #
 # Work-unit signatures (what the store hashes)
 # --------------------------------------------------------------------- #
-def _processor_signature(processor: ProcessorModel) -> Dict[str, Any]:
-    return {
-        "vmax": processor.vmax,
-        "vmin": processor.vmin,
-        "fmax": processor.fmax,
-        "vth": processor.vth,
-        "alpha": processor.alpha,
-        "ceff": processor.ceff,
-        "law": processor.law,
-    }
-
-
 def _model_signature(model: Any) -> Dict[str, Any]:
     signature = dict(asdict(model)) if is_dataclass(model) else {}
     signature["type"] = type(model).__name__
@@ -635,8 +624,8 @@ class ScenarioResult:
     skipped: int
     elapsed_seconds: float = 0.0
     #: Merged per-unit fallback tallies of a comparison sweep's batched
-    #: stages (``"batch:<reason>"`` / ``"solve:<reason>"`` keys; empty when
-    #: nothing fell back — see :class:`~repro.experiments.harness.ComparisonResult`).
+    #: simulation (``"batch:<reason>"`` keys; empty when nothing fell back —
+    #: see :class:`~repro.experiments.harness.ComparisonResult`).
     fallback_reasons: Dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:

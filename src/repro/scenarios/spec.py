@@ -85,7 +85,7 @@ class TasksetSpec:
     utilization: float = 0.7
     n_tasks: int = 4
     periods: Optional[Tuple[float, ...]] = None
-    gap_tasks: Optional[int] = 8
+    gap_tasks: int = 8
     name: str = "taskset"
     tasks: Tuple[Mapping[str, Any], ...] = ()
 
@@ -103,8 +103,8 @@ class TasksetSpec:
         if self.periods is not None:
             _require(len(self.periods) > 0, "taskset.periods must be non-empty when given")
             object.__setattr__(self, "periods", tuple(float(p) for p in self.periods))
-        if self.gap_tasks is not None:
-            _require(self.gap_tasks > 0, f"taskset.gap_tasks must be positive, got {self.gap_tasks}")
+        _check_type(self.gap_tasks, (int,), "taskset.gap_tasks")
+        _require(self.gap_tasks > 0, f"taskset.gap_tasks must be positive, got {self.gap_tasks}")
         if self.source == "explicit":
             _require(len(self.tasks) > 0, "an explicit taskset needs at least one [[taskset.tasks]] entry")
             for entry in self.tasks:
@@ -419,8 +419,7 @@ class ScenarioSpec:
             data["arrivals"] = {"model": self.arrivals.model, **dict(self.arrivals.params)}
         if self.taskset.periods is not None:
             data["taskset"]["periods"] = list(self.taskset.periods)
-        if self.taskset.gap_tasks is not None:
-            data["taskset"]["gap_tasks"] = self.taskset.gap_tasks
+        data["taskset"]["gap_tasks"] = self.taskset.gap_tasks
         if self.taskset.tasks:
             data["taskset"]["tasks"] = [dict(entry) for entry in self.taskset.tasks]
         if self.kind == "multicore":

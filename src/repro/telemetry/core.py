@@ -13,8 +13,8 @@ to whatever collector is active:
   discipline.
 * :class:`Telemetry` — records :class:`Span` rows (``perf_counter_ns``
   start/stop with parent links), monotonic counters, and value
-  observations (gauges), all thread-safe so the batched-solver worker
-  threads can report without coordination.
+  observations (gauges), all thread-safe so several threads of one
+  process can report without coordination.
 
 Timing sites that must keep producing a wall-clock number even when
 telemetry is off (``elapsed_seconds`` result fields) use ``stage()``,
@@ -173,10 +173,9 @@ class NullTelemetry:
 class Telemetry:
     """Recording collector: spans with parent links, counters, gauges.
 
-    Thread-safe: the batched NLP coordinator's worker threads and a
-    process's main thread can record concurrently.  Span parent links
-    are per-thread (each thread keeps its own stack), so a worker's
-    spans root at the wave they run under without cross-thread races.
+    Thread-safe: several threads of one process can record concurrently.
+    Span parent links are per-thread (each thread keeps its own stack), so
+    one thread's spans never nest under another's.
     """
 
     enabled = True

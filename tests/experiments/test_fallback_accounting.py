@@ -1,10 +1,13 @@
 """Fallback-reason accounting: per-unit tallies and the excessive-fallback warning.
 
-A batched comparison that cannot vectorize a unit silently took the compiled
-fallback before this accounting existed; now every fallback surfaces as a
-``"batch:<reason>"`` (simulation) or ``"solve:<reason>"`` (planning) tally on
-the :class:`ComparisonResult`, scenario runs merge them, and a run that falls
-back for more than half its units warns once.
+A batched comparison that cannot vectorize a simulation unit silently took
+the compiled fallback before this accounting existed; now every fallback
+surfaces as a ``"batch:<reason>"`` tally on the :class:`ComparisonResult`,
+scenario runs merge them, and a run that falls back for more than half its
+units warns once.  Planning has no fallback (every solve runs the same
+sequential path), but payloads stored by earlier versions may still carry
+``"solve:<reason>"`` keys: they merge like any other tally and never count
+toward the simulation warning.
 """
 
 import warnings

@@ -7,22 +7,28 @@ produce bitwise-identical :class:`ComparisonResult`s — schedules *and* the
 simulations run on top of them — across the full online matrix (all four
 DVS policies x all four workload models), with the scenario-weighted
 stochastic scheduler in the mix, and under a discrete-voltage simulation
-config.
+config (planned through ``plan_expansions`` and simulated directly, since
+``ComparisonConfig`` has no voltage-level setting).
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.analysis.preemption import expand_fully_preemptive
 from repro.experiments.harness import (
     ComparisonConfig,
+    ComparisonResult,
+    MethodOutcome,
     compare_schedulers,
     make_schedulers,
 )
+from repro.offline import SolveMemo, plan_expansions
 from repro.offline.stochastic import StochasticACSScheduler
 from repro.power.voltage import VoltageLevels
 from repro.runtime.policies import available_policies, get_policy
-from repro.runtime.simulator import SimulationConfig
+from repro.runtime.simulator import DVSSimulator, SimulationConfig
 from repro.workloads.distributions import (
     BimodalWorkload,
     FixedWorkload,
@@ -82,13 +88,25 @@ def test_scenario_weighted_scheduler(processor, three_task_set):
 
 
 def test_discrete_voltage_simulation(processor, two_task_set):
+    """Both planning paths' schedules, simulated on discrete voltage levels."""
     simulation = SimulationConfig(
         n_hyperperiods=2, seed=424242,
         voltage_levels=VoltageLevels([0.5, 1.0, 2.0, 3.0, 4.0, 5.0]))
-    batched, sequential = run_both_plans(
-        two_task_set, processor, make_schedulers(("wcs", "acs"), processor),
-        simulation=simulation)
-    assert fingerprint(batched) == fingerprint(sequential)
+    expansion = expand_fully_preemptive(two_task_set)
+    methods = make_schedulers(("wcs", "acs"), processor)
+    (batched,) = plan_expansions([(expansion, methods)], memo=SolveMemo())
+    sequential = {name: scheduler.schedule_expansion(expansion)
+                  for name, scheduler in methods.items()}
+
+    def simulated(schedules):
+        outcomes = {
+            name: MethodOutcome(name, schedule, DVSSimulator(processor, config=simulation).run(
+                schedule, rng=np.random.default_rng(simulation.seed)))
+            for name, schedule in schedules.items()
+        }
+        return ComparisonResult(two_task_set.name, outcomes, baseline="wcs")
+
+    assert fingerprint(simulated(batched)) == fingerprint(simulated(sequential))
 
 
 def test_batched_planning_is_the_default():

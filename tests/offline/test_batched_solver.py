@@ -1,15 +1,16 @@
 """Batched offline planner: bitwise equivalence and solve memoization.
 
-``plan_expansions`` runs many schedulers' NLP solves concurrently against a
-stacked objective evaluation.  The planner's whole value rests on a hard
+``plan_expansions`` drives many schedulers' programs in lock-step waves,
+solves identical in-wave requests once and answers repeats from the
+content-addressed solve memo.  The planner's whole value rests on a hard
 promise: every :class:`StaticSchedule` it returns is *bitwise identical* to
 the one the scheduler's own sequential ``schedule_expansion`` produces —
 same end times, same budgets, same objective value, float for float.  These
 tests hold it to that promise across every registered scheduler (including
 the scenario-weighted stochastic ACS and the x0-seeded ACS waves), across
-cross-task-set batches, and through the content-addressed solve memo (warm
-replays must recompute nothing and still hand out fresh, independently
-mutable schedule objects).
+cross-task-set batches, for the cmos delay law and a non-SLSQP solver
+method, and through the solve memo (warm replays must recompute nothing and
+still hand out fresh, independently mutable schedule objects).
 """
 
 import pytest
@@ -20,7 +21,6 @@ from repro.offline import (
     SolveMemo,
     plan_expansions,
     run_program,
-    solve_fallback_reason,
     solve_tasks,
 )
 from repro.offline.acs import ACSScheduler
@@ -86,27 +86,26 @@ class TestBitwiseEquivalence:
         assert_schedules_identical(batched["acs"],
                                    scheduler.schedule_expansion(expansion))
 
-    def test_cmos_law_takes_the_sequential_fallback(self, cmos, two_task_set):
-        """Non-linear processors can't stack evaluations; the per-problem
-        fallback must still return the bitwise-identical schedule."""
+    def test_cmos_law_matches_sequential_solves(self, cmos, two_task_set):
+        """The cmos delay law (reference objective, no compiled evaluation)."""
         expansion = expand_fully_preemptive(two_task_set)
-        nlp = ReducedNLP(expansion, cmos, workload_mode="wcec")
-        reason = solve_fallback_reason(NLPSolveTask(nlp))
-        assert reason is not None and "cmos" in reason
         methods = {"wcs": WCSScheduler(cmos), "acs": ACSScheduler(cmos)}
         (batched,) = plan_expansions([(expansion, methods)], memo=SolveMemo())
         for name, scheduler in methods.items():
             assert_schedules_identical(batched[name],
                                        scheduler.schedule_expansion(expansion))
 
-    def test_non_slsqp_method_takes_the_sequential_fallback(self, processor,
-                                                            two_task_set):
+    def test_non_slsqp_method_matches_sequential_solves(self, processor,
+                                                        two_task_set):
+        """``trust-constr`` differences the objective itself (no batched jacobian)."""
         expansion = expand_fully_preemptive(two_task_set)
-        options = SolverOptions(method="trust-constr")
-        nlp = ReducedNLP(expansion, processor, workload_mode="wcec",
-                         options=options)
-        reason = solve_fallback_reason(NLPSolveTask(nlp))
-        assert reason is not None and "trust-constr" in reason
+        options = SolverOptions(method="trust-constr", maxiter=20)
+        methods = {"wcs": WCSScheduler(processor, options=options),
+                   "acs": ACSScheduler(processor, options=options)}
+        (batched,) = plan_expansions([(expansion, methods)], memo=SolveMemo())
+        for name, scheduler in methods.items():
+            assert_schedules_identical(batched[name],
+                                       scheduler.schedule_expansion(expansion))
 
 
 class TestSolveMemo:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios import ScenarioError, ScenarioLoader, ScenarioSpec, load_scenario
+from repro.scenarios import (
+    ScenarioError,
+    ScenarioLoader,
+    ScenarioSpec,
+    TasksetSpec,
+    load_scenario,
+)
 
 MINIMAL = {"kind": "comparison", "name": "mini"}
 
@@ -139,6 +145,14 @@ class TestRoundTrip:
         assert again == spec
         # Axis order is semantically significant and must survive the trip.
         assert [key for key, _ in again.matrix] == ["taskset.n_tasks", "taskset.ratio"]
+
+    def test_gap_tasks_round_trips_and_none_is_rejected(self):
+        """The full GAP set is spelled ``17``: ``None`` used to come back as 8."""
+        spec = ScenarioSpec.from_dict({**MINIMAL, "taskset": {"source": "gap", "gap_tasks": 17}})
+        again = ScenarioSpec.from_dict(spec.to_dict())
+        assert again == spec and again.taskset.gap_tasks == 17
+        with pytest.raises(ScenarioError, match="gap_tasks"):
+            TasksetSpec(source="gap", gap_tasks=None)
 
     def test_json_file_round_trip(self, tmp_path):
         spec = ScenarioSpec.from_dict({

@@ -3,11 +3,19 @@
 A cold scenario run computes every unit (store misses == computed units);
 the warm rerun replays everything (store hits == units, ``computed=0``);
 a ``--force``-style rerun recomputes the units but answers every NLP solve
-from the warm solve-memo (memo hits, zero memo computes).
+from the warm solve-memo (memo hits, zero memo computes).  The NLP
+evaluation counters match the objective/jacobian calls a plan makes, on
+every planning path.
 """
 
 import pytest
 
+from repro.core.task import Task
+from repro.core.taskset import TaskSet
+from repro.experiments.harness import ComparisonConfig, compare_schedulers, make_schedulers
+from repro.offline.batched_solver import SolveMemo
+from repro.offline.nlp import ReducedNLP
+from repro.power.presets import cmos_processor, ideal_processor
 from repro.scenarios import ResultStore, ScenarioEngine, ScenarioSpec
 from repro.telemetry import Telemetry, using
 
@@ -84,3 +92,36 @@ class TestForcedRun:
     def test_bitwise_equal_results_across_all_three_runs(self, runs):
         cold, warm, forced = (runs[k][0] for k in ("cold", "warm", "forced"))
         assert cold.points == warm.points == forced.points
+
+
+class TestNLPEvaluationCounters:
+    TASKSET = TaskSet([
+        Task("a", period=10, wcec=3000, acec=1500, bcec=600),
+        Task("b", period=20, wcec=8000, acec=4400, bcec=800),
+    ], name="counted")
+
+    @pytest.mark.parametrize("law,methods,batched_planning", [
+        ("linear", ("wcs",), True),
+        ("linear", ("wcs", "acs"), True),
+        ("linear", ("wcs", "acs"), False),
+        ("cmos", ("wcs", "acs"), True),
+    ], ids=["wcs", "wcs-acs", "wcs-acs-sequential", "wcs-acs-cmos"])
+    def test_counts_equal_observed_calls(self, monkeypatch, law, methods, batched_planning):
+        observed = {"objective": 0, "jacobian": 0}
+        for name in observed:
+            def counting(self, x, _original=getattr(ReducedNLP, name), _name=name):
+                observed[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(ReducedNLP, name, counting)
+        processor = (ideal_processor if law == "linear" else cmos_processor)(fmax=1000.0)
+        config = ComparisonConfig(n_hyperperiods=2, seed=3, batched_planning=batched_planning)
+        with using(Telemetry()) as telemetry:
+            compare_schedulers(self.TASKSET, processor, make_schedulers(methods, processor),
+                               config, solve_memo=SolveMemo())
+        counters = telemetry.counters
+        assert observed["objective"] > 0
+        assert counters["nlp.objective_evaluations"] == observed["objective"]
+        assert counters.get("nlp.jacobian_evaluations", 0) == observed["jacobian"]
+        if law == "linear":
+            assert observed["jacobian"] > 0
