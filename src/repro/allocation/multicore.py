@@ -5,7 +5,7 @@ identical DVS processor per core — the homogeneous-multicore assumption), a
 core count and a partitioning heuristic.  :func:`plan_multicore` then runs the
 existing single-core offline pipeline *independently per core* — the same
 :class:`~repro.offline.nlp.ReducedNLP` (with its compiled evaluation and
-vectorized Jacobian) that powers the single-core reproduction — and returns a
+exact gradient) that powers the single-core reproduction — and returns a
 :class:`MulticorePlan`: one :class:`~repro.offline.schedule.StaticSchedule`
 per populated core.
 

@@ -26,7 +26,7 @@ cross-check against the discrete-event simulator (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,27 +146,24 @@ def evaluate_vectors(expansion: FullyPreemptiveSchedule, end_times: Sequence[flo
 
 
 class CompiledEvaluation:
-    """Pre-indexed, vectorizable form of the analytic greedy propagation.
+    """Pre-indexed form of the analytic greedy propagation, with its gradient.
 
-    The reduced NLP evaluates :func:`evaluate_vectors` (energy only) hundreds
-    of thousands of times per solve — once per finite-difference perturbation
-    of every variable.  This class compiles the parts of the evaluation that
+    The reduced NLP evaluates :func:`evaluate_vectors` (energy only) thousands
+    of times per solve.  This class compiles the parts of the evaluation that
     do not depend on the decision variables (slot starts, per-sub-instance
-    task constants, the per-job sequential-fill grouping, the processor's
+    task constants, the job each sub-instance fills, the processor's
     linear-law constants) and offers
 
-    * :meth:`energy` — a drop-in scalar evaluation, and
-    * :meth:`energies` — a *batched* evaluation of many end-time/budget
-      columns at once, used to compute a whole finite-difference gradient in
-      one pass over the total order.
+    * :meth:`energy` — a drop-in scalar evaluation, **bitwise-identical** to
+      ``evaluate_vectors(...).energy`` (every arithmetic operation in the same
+      order with the same associativity; ``tests/offline/test_evaluation.py``
+      asserts exact equality), and
+    * :meth:`energy_and_gradient` — the same energy plus its exact gradient
+      with respect to every end-time and worst-case budget, from one recorded
+      forward pass and one reverse pass.
 
-    Both are **bitwise-identical** to ``evaluate_vectors(...).energy``: every
-    arithmetic operation is performed in the same order with the same
-    associativity as the reference loop (the tests in
-    ``tests/offline/test_evaluation.py`` assert exact equality).  Only
-    ``law="linear"`` processors are supported — the CMOS delay law needs
-    ``x ** alpha``, whose NumPy vectorization is not bitwise-equal to the
-    scalar power — and :meth:`supported` reports whether a processor
+    Only ``law="linear"`` processors are supported — both loops inline the
+    linear delay law — and :meth:`supported` reports whether a processor
     qualifies; callers fall back to :func:`evaluate_vectors` otherwise.
     """
 
@@ -194,42 +191,17 @@ class CompiledEvaluation:
                 remaining.append(actual_cycles.get(instance.key, instance.acec))
         self._initial_remaining = remaining
 
-        # Per-job sequential fill grouped by position: subs of one job appear
-        # in sub-index order along the total order, so the p-th subs of all
-        # jobs can be filled together once positions 0..p-1 are done.
-        position_of_sub = [0] * len(subs)
-        seen: Dict[int, int] = {}
-        for order, sub in enumerate(subs):
-            inst = self._instance_of_sub[order]
-            position_of_sub[order] = seen.get(inst, 0)
-            seen[inst] = position_of_sub[order] + 1
-        max_position = max(position_of_sub, default=-1) + 1
-        self._positions: List[tuple] = []
-        for position in range(max_position):
-            sub_rows = np.array(
-                [order for order in range(len(subs)) if position_of_sub[order] == position],
-                dtype=np.intp,
-            )
-            inst_rows = np.array([self._instance_of_sub[order] for order in sub_rows],
-                                 dtype=np.intp)
-            self._positions.append((sub_rows, inst_rows))
-
         self._fmax = processor.fmax
         self._fmin = processor.fmin
         self._vmin = processor.vmin
         self._vmax = processor.vmax
         self._k = processor._k
-        self._fill_scratch: Dict[int, tuple] = {}
-        self._column_scratch: Dict[int, tuple] = {}
 
     @staticmethod
     def supported(processor: ProcessorModel) -> bool:
-        """Whether the batched evaluation is bitwise-exact for ``processor``."""
+        """Whether the compiled evaluation handles ``processor``'s delay law."""
         return processor.law == "linear"
 
-    # ------------------------------------------------------------------ #
-    # Scalar fast path
-    # ------------------------------------------------------------------ #
     def energy(self, end_times: Sequence[float], wc_budgets: Sequence[float]) -> float:
         """Energy of one hyperperiod; equals ``evaluate_vectors(...).energy`` bitwise."""
         ends = np.asarray(end_times, dtype=float).tolist()
@@ -251,8 +223,8 @@ class CompiledEvaluation:
         energy = 0.0
         previous_finish = 0.0
         # Branch-inlined max/min (ties keep the first operand, exactly like
-        # the builtins): this loop runs once per finite-difference line-search
-        # point, and the call overhead of max()/min() is its dominant cost.
+        # the builtins): this loop runs once per solver evaluation, and the
+        # call overhead of max()/min() is its dominant cost.
         for index in range(self.n_subs):
             budget = budgets[index]
             if budget < 0.0:
@@ -296,102 +268,145 @@ class CompiledEvaluation:
                 previous_finish = start
         return energy
 
-    # ------------------------------------------------------------------ #
-    # Batched path
-    # ------------------------------------------------------------------ #
-    def energies(self, end_times: np.ndarray, wc_budgets: np.ndarray) -> np.ndarray:
-        """Energies of many candidate schedules at once.
+    def energy_and_gradient(self, ends: List[float], budgets: List[float]
+                            ) -> Tuple[float, List[float], List[float]]:
+        """Energy and its exact gradient: ``(energy, d/d ends, d/d budgets)``.
 
-        ``end_times`` and ``wc_budgets`` are ``(n_subs, K)`` matrices whose
-        columns are independent candidate vectors in total order; returns the
-        ``(K,)`` energy vector, each element bitwise-equal to the scalar
-        evaluation of that column.
+        The forward pass is :meth:`energy_from_lists` operation for operation,
+        so the energy is bitwise-equal to it; it also records, per
+        sub-instance, which branch each ``max``/``min``/clip took.  The reverse
+        pass then carries the adjoints of the running previous finish and of
+        every job's remaining cycles back along the total order — two passes
+        whatever the number of variables.
+
+        **Tie rule.**  The energy is piecewise smooth.  At a kink — a start
+        where slot start and previous finish are equal, a budget equal to the
+        job's remaining cycles, a frequency or voltage exactly at a clip
+        limit, a finish equal to the previous finish — the gradient is the
+        one of the branch the forward code took (the builtins' "first operand
+        wins" convention of :meth:`energy_from_lists`).  Clipped quantities
+        (a negative budget clipped to 0, a frequency clipped to ``fmin`` /
+        ``fmax``, an ``available <= 1e-12`` window run at ``fmax``) have zero
+        derivative, and sub-instances that execute nothing contribute only
+        through the previous finish they pass on.
         """
-        ends = np.asarray(end_times, dtype=float)
-        raw_budgets = np.asarray(wc_budgets, dtype=float)
-        if ends.ndim != 2 or ends.shape[0] != self.n_subs or raw_budgets.shape != ends.shape:
-            raise SchedulingError(
-                f"expected matching ({self.n_subs}, K) matrices, got {ends.shape} and {raw_budgets.shape}"
-            )
-        n_columns = ends.shape[1]
-        if n_columns == 0:
-            return np.zeros(0)
-        budgets = np.maximum(raw_budgets, 0.0)
-
-        # Phase 1 — per-job sequential fill of the actual cycles (depends on
-        # budgets only): position p of every job is resolved in lockstep.
-        fill = self._fill_scratch.get(n_columns)
-        if fill is None:
-            fill = (
-                np.empty((len(self._initial_remaining), n_columns), dtype=float),
-                np.empty((self.n_subs, n_columns), dtype=float),
-                np.empty((self.n_subs, n_columns), dtype=bool),
-            )
-            self._fill_scratch[n_columns] = fill
-        remaining, executed, executed_mask = fill
-        remaining[:] = np.asarray(self._initial_remaining, dtype=float)[:, None]
-        for sub_rows, inst_rows in self._positions:
-            chunk = np.minimum(budgets[sub_rows], np.maximum(remaining[inst_rows], 0.0))
-            mask = chunk > _EPS
-            executed[sub_rows] = chunk
-            executed_mask[sub_rows] = mask
-            remaining[inst_rows] = remaining[inst_rows] - np.where(mask, chunk, 0.0)
-
-        # Phase 2 — propagate finish times along the total order (inherently
-        # sequential over sub-instances, vectorized across columns).  All
-        # temporaries live in per-width scratch buffers: the loop body is
-        # in-place ufunc calls, no allocations.  Every operation mirrors the
-        # scalar chain bit for bit — boolean-mask assignment replaces
-        # ``np.where`` (identical selection), and zeroing masked-out segments
-        # before the running ``+=`` equals skipping them (the accumulator
-        # never goes negative, so ``x + 0.0 == x`` holds bitwise).
+        remaining = list(self._initial_remaining)
         slot_starts = self._slot_starts
         ceffs = self._ceffs
+        instance_of_sub = self._instance_of_sub
         fmax = self._fmax
         fmin = self._fmin
         vmin = self._vmin
         vmax = self._vmax
         k = self._k
-        scratch = self._column_scratch.get(n_columns)
-        if scratch is None:
-            scratch = tuple(np.empty(n_columns) for _ in range(5)) + (
-                np.empty(n_columns, dtype=bool),
-            )
-            self._column_scratch[n_columns] = scratch
-        start, available, frequency, voltage, segment, condition = scratch
-        previous_finish = np.zeros(n_columns)
-        energy = np.zeros(n_columns)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for index in range(self.n_subs):
-                np.maximum(slot_starts[index], previous_finish, out=start)
-                np.subtract(ends[index], start, out=available)
-                np.divide(budgets[index], available, out=frequency)
-                np.maximum(frequency, fmin, out=frequency)
-                np.minimum(frequency, fmax, out=frequency)
-                np.less_equal(available, _EPS, out=condition)
-                frequency[condition] = fmax
-                np.multiply(frequency, k, out=voltage)
-                np.maximum(voltage, vmin, out=voltage)
-                np.minimum(voltage, vmax, out=voltage)
-                np.less_equal(frequency, fmin, out=condition)
-                voltage[condition] = vmin
-                np.greater_equal(frequency, fmax, out=condition)
-                voltage[condition] = vmax
-                np.divide(voltage, k, out=frequency)
-                chunk = executed[index]
-                np.multiply(ceffs[index], voltage, out=segment)
-                np.multiply(segment, voltage, out=segment)
-                np.multiply(chunk, segment, out=segment)
-                np.logical_not(executed_mask[index], out=condition)
-                segment[condition] = 0.0
-                energy += segment
-                # finish = start + executed / frequency where executed ran.
-                np.divide(chunk, frequency, out=frequency)
-                np.add(start, frequency, out=frequency)
-                frequency[condition] = 0.0
-                np.maximum(frequency, start, out=frequency)
-                np.maximum(previous_finish, frequency, out=previous_finish)
-        return energy
+        n_subs = self.n_subs
+
+        energy = 0.0
+        previous_finish = 0.0
+        # One row per sub-instance: ``None`` for a step that executed nothing
+        # and whose start (the slot start) overtook the previous finish, the
+        # empty tuple for one that passed the previous finish on unchanged,
+        # else the values and branches the reverse pass needs.
+        tape: List[Optional[tuple]] = [None] * n_subs
+        for index in range(n_subs):
+            budget = budgets[index]
+            budget_clipped = budget < 0.0
+            if budget_clipped:
+                budget = 0.0
+            instance = instance_of_sub[index]
+            rem = remaining[instance]
+            positive_rem = rem if rem >= 0.0 else 0.0
+            from_budget = budget <= positive_rem
+            executed = budget if from_budget else positive_rem
+            slot = slot_starts[index]
+            from_slot = slot >= previous_finish
+            start = slot if from_slot else previous_finish
+            if executed > _EPS:
+                available = ends[index] - start
+                scaled = False
+                if available <= _EPS:
+                    frequency = fmax
+                else:
+                    frequency = budget / available
+                    if frequency < fmin:
+                        frequency = fmin
+                    elif frequency > fmax:
+                        frequency = fmax
+                if frequency <= 0:
+                    voltage = vmin
+                elif frequency >= fmax:
+                    voltage = vmax
+                elif frequency <= fmin:
+                    voltage = vmin
+                else:
+                    voltage = frequency * k
+                    if voltage < vmin:
+                        voltage = vmin
+                    elif voltage > vmax:
+                        voltage = vmax
+                    else:
+                        # Only reachable with budget / available strictly
+                        # inside (fmin, fmax): the voltage follows both.
+                        scaled = True
+                frequency = voltage / k
+                ceff = ceffs[index]
+                energy += executed * ((ceff * voltage) * voltage)
+                finish = start + executed / frequency
+                remaining[instance] = rem - executed
+                extends = finish > previous_finish
+                if extends:
+                    previous_finish = finish
+                tape[index] = (
+                    instance, budget_clipped, from_budget, rem >= 0.0, from_slot, extends,
+                    scaled, budget, available, executed, ceff, voltage, frequency,
+                )
+            elif start > previous_finish:
+                previous_finish = start
+            else:
+                tape[index] = ()
+
+        grad_ends = [0.0] * n_subs
+        grad_budgets = [0.0] * n_subs
+        grad_remaining = [0.0] * len(remaining)
+        grad_previous = 0.0
+        for index in range(n_subs - 1, -1, -1):
+            row = tape[index]
+            if row is None:
+                grad_previous = 0.0
+                continue
+            if not row:
+                continue
+            (instance, budget_clipped, from_budget, rem_positive, from_slot, extends,
+             scaled, budget, available, executed, ceff, voltage, frequency) = row
+            if extends:
+                grad_finish = grad_previous
+                grad_previous = 0.0
+            else:
+                grad_finish = 0.0
+            # finish = start + executed / frequency; energy += executed·ceff·v²;
+            # remaining -= executed; frequency = v / k.
+            grad_start = grad_finish
+            grad_executed = (grad_finish / frequency + (ceff * voltage) * voltage
+                             - grad_remaining[instance])
+            grad_budget = 0.0
+            if scaled:
+                grad_frequency = -grad_finish * executed / (frequency * frequency)
+                grad_voltage = 2.0 * executed * ceff * voltage + grad_frequency / k
+                # voltage = (budget / available) · k
+                grad_ratio = grad_voltage * k / available
+                grad_budget = grad_ratio
+                grad_available = -grad_ratio * budget / available
+                grad_ends[index] = grad_available
+                grad_start -= grad_available
+            if from_budget:
+                grad_budget += grad_executed
+            elif rem_positive:
+                grad_remaining[instance] += grad_executed
+            if not budget_clipped:
+                grad_budgets[index] = grad_budget
+            if not from_slot:
+                grad_previous += grad_start
+        return energy, grad_ends, grad_budgets
 
 
 def evaluate_schedule(schedule: StaticSchedule, processor: ProcessorModel,

@@ -55,6 +55,11 @@ __all__ = ["ReducedNLP", "SolverOptions"]
 #: Telemetry counter names, precomputed so the disabled path allocates nothing.
 _OBJECTIVE_EVALS = "nlp.objective_evaluations"
 _JACOBIAN_EVALS = "nlp.jacobian_evaluations"
+_SOLVE_ITERATIONS = "solve.iterations"
+_SOLVE_FALLBACK = "solve.fallback_worst_case"
+#: ``solve.status.<code>`` for every status SLSQP (-1..9) and trust-constr
+#: (0..4) report; any other code builds its name on the spot.
+_SOLVE_STATUS = {code: f"solve.status.{code}" for code in range(-1, 10)}
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,9 @@ class SolverOptions:
     """Knobs for the scipy-based solver."""
 
     maxiter: int = 200
-    #: SLSQP's convergence tolerance and finite-difference step; other
-    #: ``method`` values run with scipy's own defaults for both.
+    #: SLSQP's convergence tolerance and finite-difference step (the step is
+    #: only used where the objective has no exact gradient: non-linear delay
+    #: laws); other ``method`` values run with scipy's own defaults for both.
     ftol: float = 1e-8
     finite_difference_step: float = 1e-6
     method: str = "SLSQP"
@@ -73,14 +79,6 @@ class SolverOptions:
     #: small amount; the margin keeps the *true* chain constraint satisfiable
     #: after the post-solve repair, at a negligible cost in optimality.
     chain_margin_fraction: float = 1e-5
-    #: Compute the solver's forward-difference gradient with one batched,
-    #: vectorized objective evaluation instead of scipy's per-variable scalar
-    #: loop.  The batched gradient reproduces scipy's 2-point scheme (step
-    #: construction, bound adjustment, difference quotient) bitwise, so the
-    #: solver trajectory — and therefore the resulting schedule — is
-    #: unchanged; it is automatically disabled for processors the vectorized
-    #: evaluation does not support (non-linear delay laws).
-    vectorized_jacobian: bool = True
 
 
 @dataclass
@@ -137,7 +135,7 @@ class ReducedNLP:
         self._n_vars = self._n_subs + self._n_budget_vars
         self._actual_cycles = self._build_actual_cycles()
 
-        # Vectorized unpack: sub index of every budget variable (in variable
+        # Unpack tables: sub index of every budget variable (in variable
         # order) plus the fixed single-sub budgets as index/value arrays.
         self._budget_var_subs = np.array(
             sorted(self._budget_var_index, key=lambda i: self._budget_var_index[i]),
@@ -153,13 +151,9 @@ class ReducedNLP:
             budget_template[sub_index] = value
         self._budget_template = budget_template
 
-        # Compiled (batched) objective: one evaluator per workload scenario.
-        # Only linear-law processors vectorize bitwise; everything else keeps
-        # the reference evaluation path.
-        self._bounds_lower: Optional[np.ndarray] = None
-        self._bounds_upper: Optional[np.ndarray] = None
-        self._last_point: Optional[np.ndarray] = None
-        self._last_value: float = 0.0
+        # Compiled objective and exact gradient: one evaluator per workload
+        # scenario.  Only linear-law processors compile; everything else keeps
+        # the reference evaluation and scipy's finite differences.
         self._compiled: Optional[List[Tuple[float, CompiledEvaluation]]] = None
         if CompiledEvaluation.supported(self.processor):
             if self.scenarios is not None:
@@ -201,13 +195,14 @@ class ReducedNLP:
         budgets[self._fixed_budget_subs] = self._fixed_budget_values
         return end_times, budgets
 
-    def _unpack_batch(self, x_columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Column-wise :meth:`unpack` of a ``(n_vars, K)`` matrix."""
-        end_times = x_columns[: self._n_subs]
-        budgets = np.zeros((self._n_subs, x_columns.shape[1]))
-        budgets[self._budget_var_subs] = x_columns[self._n_subs:]
-        budgets[self._fixed_budget_subs] = self._fixed_budget_values[:, None]
-        return end_times, budgets
+    def _unpack_lists(self, x: np.ndarray) -> Tuple[List[float], List[float]]:
+        """:meth:`unpack` to plain float lists, the compiled evaluation's input."""
+        values = np.asarray(x, dtype=float).tolist()
+        n_subs = self._n_subs
+        budgets = self._budget_template.copy()
+        for position, sub_index in enumerate(self._budget_var_subs_list):
+            budgets[sub_index] = values[n_subs + position]
+        return values[:n_subs], budgets
 
     # ------------------------------------------------------------------ #
     # Objective and constraints
@@ -216,16 +211,10 @@ class ReducedNLP:
         """The solver's objective: :meth:`energy`, counted as one evaluation.
 
         Every call adds one ``nlp.objective_evaluations`` to the active
-        telemetry collector.  The last compiled point is memoized: the
-        solver evaluates the objective and then the gradient at the same x,
-        and the gradient needs f0.
+        telemetry collector.
         """
         _telemetry().count(_OBJECTIVE_EVALS)
-        energy = self.energy(x)
-        if self._compiled is not None:
-            self._last_point = np.array(x, dtype=float)
-            self._last_value = energy
-        return energy
+        return self.energy(x)
 
     def energy(self, x: np.ndarray) -> float:
         """Average-case energy of the candidate schedule ``x``.
@@ -238,12 +227,7 @@ class ReducedNLP:
         """
         if self._compiled is None:
             return self.objective_reference(x)
-        values = np.asarray(x, dtype=float).tolist()
-        n_subs = self._n_subs
-        end_times = values[:n_subs]
-        budgets = self._budget_template.copy()
-        for position, sub_index in enumerate(self._budget_var_subs_list):
-            budgets[sub_index] = values[n_subs + position]
+        end_times, budgets = self._unpack_lists(x)
         if self.scenarios is not None:
             total_weight = sum(weight for weight, _ in self.scenarios)
             energy = 0.0
@@ -271,76 +255,30 @@ class ReducedNLP:
         )
         return outcome.energy
 
-    def objective_batch(self, x_columns: np.ndarray) -> np.ndarray:
-        """Objective of many candidate vectors at once (``(n_vars, K)`` → ``(K,)``).
-
-        Requires the compiled evaluation (linear-law processor); each element
-        is bitwise-equal to :meth:`objective` of the corresponding column.
-        """
-        if self._compiled is None:
-            raise SchedulingError(
-                "objective_batch requires the compiled evaluation (linear-law processor)"
-            )
-        end_times, budgets = self._unpack_batch(np.asarray(x_columns, dtype=float))
-        if self.scenarios is not None:
-            total_weight = sum(weight for weight, _ in self.scenarios)
-            energy = np.zeros(end_times.shape[1])
-            for weight, evaluator in self._compiled:
-                energy += weight * evaluator.energies(end_times, budgets)
-            return energy / total_weight
-        return self._compiled[0][1].energies(end_times, budgets)
-
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Forward-difference gradient, computed in one batched evaluation.
+        """Exact gradient of :meth:`objective`, counted as one evaluation.
 
-        Reproduces scipy's 2-point finite-difference scheme — absolute step
-        ``options.finite_difference_step``, the zero-step relative fallback,
-        the one-sided bound adjustment of ``_adjust_scheme_to_bounds`` and the
-        exact difference quotient — bitwise, so handing this to the solver
-        instead of letting it difference :meth:`objective` itself changes the
-        wall-clock cost (one vectorized pass instead of ``n_vars`` scalar
-        evaluations) but not a single bit of the solver trajectory.  The
-        replication is pinned by a test against
-        ``scipy.optimize._numdiff.approx_derivative``.
+        Each scenario's :meth:`~repro.offline.evaluation.CompiledEvaluation.energy_and_gradient`
+        (one forward and one reverse pass, whatever the number of variables)
+        is mapped onto the variable vector — end-times first, then the free
+        budgets — and weighted exactly like the objective.  At a kink of the
+        piecewise-smooth energy it takes the branch the forward evaluation
+        took (see that method's tie rule).  Requires the compiled evaluation
+        (linear-law processor); :meth:`solve` lets scipy difference the
+        objective otherwise.
         """
         _telemetry().count(_JACOBIAN_EVALS)
-        x0 = np.asarray(x, dtype=float)
-        if self._last_point is not None and np.array_equal(x0, self._last_point):
-            f0 = self._last_value
-        else:
-            f0 = self.objective(x0)
-        n_vars = self._n_vars
-        step = np.full(n_vars, self.options.finite_difference_step, dtype=float)
-        representable = (x0 + step) - x0
-        if not representable.all():
-            # Absolute step vanished against a huge |x|: scipy falls back to a
-            # signed relative step; replicate it exactly.
-            sign_x0 = (x0 >= 0).astype(float) * 2 - 1
-            fallback = np.sqrt(np.finfo(np.float64).eps) * sign_x0 * np.maximum(1.0, np.abs(x0))
-            step = np.where(representable == 0, fallback, step)
-
-        if self._bounds_lower is None:
-            bounds = self.bounds()
-            self._bounds_lower = np.array([low for low, _ in bounds], dtype=float)
-            self._bounds_upper = np.array([high for _, high in bounds], dtype=float)
-        lower_dist = x0 - self._bounds_lower
-        upper_dist = self._bounds_upper - x0
-        probe = x0 + step
-        violated = (probe < self._bounds_lower) | (probe > self._bounds_upper)
-        fitting = np.abs(step) <= np.maximum(lower_dist, upper_dist)
-        step = step.copy()
-        step[violated & fitting] *= -1
-        forward = (upper_dist >= lower_dist) & ~fitting
-        step[forward] = upper_dist[forward]
-        backward = (upper_dist < lower_dist) & ~fitting
-        step[backward] = -lower_dist[backward]
-
-        columns = np.repeat(x0[:, None], n_vars, axis=1)
-        diagonal = np.arange(n_vars)
-        columns[diagonal, diagonal] = x0 + step
-        values = self.objective_batch(columns)
-        dx = (x0 + step) - x0
-        return (values - f0) / dx
+        if self._compiled is None:
+            raise SchedulingError("the exact gradient requires a linear-law processor")
+        end_times, budgets = self._unpack_lists(x)
+        free_budget_subs = self._budget_var_subs_list
+        gradient = np.zeros(self._n_vars)
+        for weight, evaluator in self._compiled:
+            _, grad_ends, grad_budgets = evaluator.energy_and_gradient(end_times, budgets)
+            gradient += weight * np.array(grad_ends + [grad_budgets[i] for i in free_budget_subs])
+        if self.scenarios is not None:
+            gradient /= sum(weight for weight, _ in self.scenarios)
+        return gradient
 
     def bounds(self) -> List[Tuple[float, float]]:
         subs = self.expansion.sub_instances
@@ -433,16 +371,13 @@ class ReducedNLP:
         pushed forward to restore the worst-case chain) before validation; if
         no feasible repaired schedule emerges, the guaranteed-feasible
         worst-case-at-fmax schedule is returned instead, flagged in
-        ``metadata["fallback"]``.
+        ``metadata["fallback"]``.  Each solve counts its solver status
+        (``solve.status.<code>``), its fallback (``solve.fallback_worst_case``)
+        and observes its iteration count (``solve.iterations``) on the active
+        telemetry collector.
         """
         start = self.initial_guess() if x0 is None else np.asarray(x0, dtype=float)
-        # The batched jacobian replays scipy's own finite-difference scheme
-        # bitwise (see :meth:`jacobian`), so the solver trajectory is
-        # identical with or without it — only the wall-clock changes.
         slsqp = self.options.method == "SLSQP"
-        use_vectorized_jacobian = (
-            self._compiled is not None and self.options.vectorized_jacobian and slsqp
-        )
         solver_options = {"maxiter": self.options.maxiter, "disp": self.options.verbose}
         if slsqp:
             # SLSQP's own keywords: other methods (trust-constr) reject them.
@@ -451,17 +386,22 @@ class ReducedNLP:
             self.objective,
             start,
             method=self.options.method,
-            jac=self.jacobian if use_vectorized_jacobian else None,
+            jac=None if self._compiled is None else self.jacobian,
             bounds=self.bounds(),
             constraints=self.linear_constraints(),
             options=solver_options,
         )
         end_times, budgets = self.unpack(np.asarray(result.x, dtype=float))
         repaired = self._repair(end_times, budgets)
+        status = int(result.status)
+        iterations = int(result.get("nit", -1))
+        telemetry = _telemetry()
+        telemetry.count(_SOLVE_STATUS.get(status) or f"solve.status.{status}")
+        telemetry.observe(_SOLVE_ITERATIONS, iterations)
         metadata = {
-            "solver_status": int(result.status),
+            "solver_status": status,
             "solver_message": str(result.message),
-            "solver_iterations": int(result.get("nit", -1)),
+            "solver_iterations": iterations,
             "fallback": False,
         }
         method_name = "acs" if self.workload_mode == "acec" else "wcs"
@@ -480,6 +420,7 @@ class ReducedNLP:
         # Fall back to the guaranteed-feasible worst-case schedule at fmax.
         fallback_end, fallback_budget = self.fallback_vectors()
         metadata["fallback"] = True
+        telemetry.count(_SOLVE_FALLBACK)
         schedule = StaticSchedule.from_vectors(
             self.expansion, fallback_end, fallback_budget,
             method=method_name,
@@ -498,8 +439,12 @@ class ReducedNLP:
 
         Budgets are clipped at zero and rescaled so each job's budgets sum to
         its WCEC; end-times are then pushed forward just enough to restore the
-        worst-case chain, and clipped to their slot.  Returns ``None`` when the
-        projection would violate a slot end (the caller then falls back).
+        worst-case chain, and clipped to their slot.  If a sub-instance then
+        finds no room before its slot end, the solver left earlier end-times
+        too late: every end-time is capped at the latest one that still leaves
+        the rest of the chain room at ``fmax``, and pushed forward again.
+        Returns ``None`` when even that violates a slot end (the caller then
+        falls back).
         """
         subs = self.expansion.sub_instances
         repaired_budgets = np.clip(np.asarray(budgets, dtype=float), 0.0, None)
@@ -512,21 +457,40 @@ class ReducedNLP:
                 repaired_budgets[indices[0]] = instance.wcec
             else:
                 repaired_budgets[indices] *= instance.wcec / total
+        # Zero-budget sub-instances execute nothing and stay out of the chain.
+        chained = [repaired_budgets[index] > 1e-9 * max(1.0, sub.instance.wcec)
+                   for index, sub in enumerate(subs)]
+        fmax = self.processor.fmax
 
+        repaired_ends = self._push_chain(end_times, repaired_budgets, chained)
+        if repaired_ends is None:
+            latest = [0.0] * len(subs)
+            bound = float("inf")
+            for index in range(len(subs) - 1, -1, -1):
+                latest[index] = min(subs[index].slot_end, bound)
+                if chained[index]:
+                    bound = latest[index] - repaired_budgets[index] / fmax
+            capped = np.minimum(np.asarray(end_times, dtype=float), latest)
+            repaired_ends = self._push_chain(capped, repaired_budgets, chained)
+            if repaired_ends is None:
+                return None
+        return repaired_ends, list(repaired_budgets)
+
+    def _push_chain(self, end_times: np.ndarray, budgets: np.ndarray,
+                    chained: List[bool]) -> Optional[List[float]]:
+        """End-times pushed forward to restore the worst-case chain, or ``None``."""
         fmax = self.processor.fmax
         repaired_ends: List[float] = []
         previous_end = 0.0
-        for index, sub in enumerate(subs):
-            if repaired_budgets[index] <= 1e-9 * max(1.0, sub.instance.wcec):
-                # Zero-budget sub-instances execute nothing; keep their end-time
-                # inside the slot but outside the chain bookkeeping.
+        for index, sub in enumerate(self.expansion.sub_instances):
+            if not chained[index]:
                 repaired_ends.append(min(max(float(end_times[index]), sub.slot_start), sub.slot_end))
                 continue
-            earliest = max(previous_end, sub.slot_start) + repaired_budgets[index] / fmax
+            earliest = max(previous_end, sub.slot_start) + budgets[index] / fmax
             end = min(max(float(end_times[index]), earliest), sub.slot_end)
             tolerance = 1e-7 * max(1.0, sub.slot_end)
             if end + tolerance < earliest:
                 return None
             repaired_ends.append(end)
             previous_end = max(previous_end, end)
-        return repaired_ends, list(repaired_budgets)
+        return repaired_ends

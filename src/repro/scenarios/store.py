@@ -47,7 +47,10 @@ __all__ = ["STORE_FORMAT", "ClaimRecord", "StoreEntry", "ResultStore", "signatur
 #: 2: transition energy is no longer charged on zero-work dispatches (the
 #:    requeue/fmax-fringe fix in the runtime event loops), which changes
 #:    stored numbers for runs with a non-free transition model.
-STORE_FORMAT = 2
+#: 3: the reduced NLP is solved with its exact reverse-mode gradient instead
+#:    of a finite-difference one, which changes planned schedules (records
+#:    and solve-memo entries alike).
+STORE_FORMAT = 3
 
 
 def signature_key(signature: Mapping[str, Any]) -> str:

@@ -122,29 +122,6 @@ class TestCompiledEvaluation:
                 expansion, ends, budgets, processor, collect_details=False).energy
             assert compiled.energy(ends, budgets) == reference
 
-    def test_batched_energies_bitwise(self, processor):
-        expansion = self._expansion(processor)
-        compiled = CompiledEvaluation(expansion, processor)
-        rng = np.random.default_rng(43)
-        n_subs = len(expansion.sub_instances)
-        columns = 17
-        end_matrix = np.empty((n_subs, columns))
-        budget_matrix = np.empty((n_subs, columns))
-        for column in range(columns):
-            ends, budgets = self._random_vectors(expansion, rng)
-            end_matrix[:, column] = ends
-            budget_matrix[:, column] = budgets
-        # Degenerate columns: end-times at the slot start (no available time)
-        # and all-zero budgets.
-        end_matrix[:, 0] = [sub.slot_start for sub in expansion.sub_instances]
-        budget_matrix[:, 1] = 0.0
-        batch = compiled.energies(end_matrix, budget_matrix)
-        for column in range(columns):
-            reference = evaluate_vectors(
-                expansion, end_matrix[:, column], budget_matrix[:, column],
-                processor, collect_details=False).energy
-            assert batch[column] == reference
-
     def test_actual_cycles_mapping_respected(self, processor):
         expansion = self._expansion(processor)
         actual = {inst.key: inst.wcec for inst in expansion.instances}
@@ -160,9 +137,3 @@ class TestCompiledEvaluation:
         assert not CompiledEvaluation.supported(cmos)
         with pytest.raises(SchedulingError):
             CompiledEvaluation(expansion, cmos)
-
-    def test_shape_mismatch_rejected(self, processor):
-        expansion = self._expansion(processor)
-        compiled = CompiledEvaluation(expansion, processor)
-        with pytest.raises(SchedulingError):
-            compiled.energies(np.zeros((2, 3)), np.zeros((2, 3)))

@@ -139,6 +139,23 @@ class TestRepair:
         from repro.offline.schedule import StaticSchedule
         StaticSchedule.from_vectors(expansion, repaired_ends, repaired_budgets).validate(processor)
 
+    def test_repair_pulls_late_end_times_back(self, two_task_set, processor):
+        """A solver output whose earlier end-time leaves a later sub-instance
+        too little room is repaired by capping it, not rejected."""
+        from repro.offline.schedule import StaticSchedule
+        expansion = expand_fully_preemptive(two_task_set)
+        nlp = ReducedNLP(expansion, processor)
+        # Order: A[0], B[0].0, A[1], B[0].1.  A[1] ends at 15.35, so B[0].1
+        # (4653 cycles at fmax = 4.653 ms) would need until 20.003 > 20.
+        end_times = np.array([6.19, 10.0, 15.35, 20.0])
+        budgets = np.array([3000.0, 3347.0, 3000.0, 4653.0])
+        repaired = nlp._repair(end_times, budgets)
+        assert repaired is not None
+        repaired_ends, repaired_budgets = repaired
+        assert repaired_ends[2] == pytest.approx(20.0 - 4.653)
+        assert repaired_ends[3] == pytest.approx(20.0)
+        StaticSchedule.from_vectors(expansion, repaired_ends, repaired_budgets).validate(processor)
+
     def test_repair_rejects_unfixable_end_times(self, two_task_set, processor):
         expansion = expand_fully_preemptive(two_task_set)
         nlp = ReducedNLP(expansion, processor)
@@ -157,59 +174,114 @@ class TestRepair:
         assert repaired is None
 
 
-class TestVectorizedJacobian:
-    """The batched gradient must replay scipy's finite differences bitwise."""
+def _bounds_arrays(nlp):
+    bounds = nlp.bounds()
+    return (np.array([low for low, _ in bounds]),
+            np.array([high for _, high in bounds]))
 
-    @staticmethod
-    def _bounds_arrays(nlp):
-        bounds = nlp.bounds()
-        return (np.array([low for low, _ in bounds]),
-                np.array([high for _, high in bounds]))
+
+class TestVectorizedJacobian:
+    """The solver's objective/gradient dispatch: compiled vs reference paths."""
 
     def test_objective_dispatch_bitwise(self, three_task_set, processor):
         expansion = expand_fully_preemptive(three_task_set)
         nlp = ReducedNLP(expansion, processor)
-        lower, upper = self._bounds_arrays(nlp)
+        lower, upper = _bounds_arrays(nlp)
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = lower + rng.uniform(0.0, 1.0, len(lower)) * (upper - lower)
             assert nlp.objective(x) == nlp.objective_reference(x)
 
-    def test_jacobian_matches_scipy_bitwise(self, three_task_set, processor):
-        from scipy.optimize._numdiff import approx_derivative
-
-        expansion = expand_fully_preemptive(three_task_set)
-        nlp = ReducedNLP(expansion, processor)
-        lower, upper = self._bounds_arrays(nlp)
-        rng = np.random.default_rng(6)
-        points = [lower + rng.uniform(0.0, 1.0, len(lower)) * (upper - lower)
-                  for _ in range(10)]
-        points.append(lower.copy())   # on the lower bounds: backward steps
-        points.append(upper.copy())   # on the upper bounds: sign flips
-        for x in points:
-            expected = approx_derivative(
-                nlp.objective_reference, x, method="2-point",
-                abs_step=nlp.options.finite_difference_step,
-                bounds=(lower, upper),
-            )
-            assert np.array_equal(nlp.jacobian(x), expected)
-
-    def test_solve_identical_with_and_without_jacobian(self, three_task_set, processor):
-        expansion = expand_fully_preemptive(three_task_set)
-        fast = ReducedNLP(expansion, processor,
-                          options=SolverOptions(maxiter=60)).solve()
-        slow = ReducedNLP(expansion, processor,
-                          options=SolverOptions(maxiter=60,
-                                                vectorized_jacobian=False)).solve()
-        assert fast.end_times() == slow.end_times()
-        assert fast.wc_budgets() == slow.wc_budgets()
-        assert fast.objective_value == slow.objective_value
-        assert fast.metadata["solver_iterations"] == slow.metadata["solver_iterations"]
-        assert fast.metadata["solver_status"] == slow.metadata["solver_status"]
-
     def test_cmos_processor_falls_back_to_scipy(self, three_task_set, cmos):
         expansion = expand_fully_preemptive(three_task_set)
         nlp = ReducedNLP(expansion, cmos, options=SolverOptions(maxiter=25))
         assert nlp._compiled is None
+        with pytest.raises(SchedulingError):
+            nlp.jacobian(nlp.initial_guess())
         schedule = nlp.solve()
         schedule.validate(cmos)
+
+
+def _scenario_nlp(expansion, processor):
+    """Stochastic-ACS style NLP: three weighted workload scenarios."""
+    scenarios = []
+    for weight, share in ((0.2, 0.3), (0.5, 0.6), (0.3, 1.0)):
+        actual = {inst.key: inst.bcec + share * (inst.wcec - inst.bcec)
+                  for inst in expansion.instances}
+        scenarios.append((weight, actual))
+    return ReducedNLP(expansion, processor, scenarios=scenarios)
+
+
+class TestExactGradient:
+    """The reverse-mode gradient of the greedy energy propagation."""
+
+    #: Relative tolerance of the gradient against a central difference with
+    #: step 1e-6·max(1, |x|): the difference's truncation and round-off
+    #: error, far below any real gradient error at an interior point.
+    GRADIENT_RTOL = 1e-4
+    #: An exact-gradient solve may end at most this fraction above scipy's
+    #: own finite-difference solve of the same problem.
+    OBJECTIVE_RTOL = 1e-3
+
+    @staticmethod
+    def _interior_points(nlp, rng, count):
+        """Random points strictly inside the bounds (away from the clips)."""
+        lower, upper = _bounds_arrays(nlp)
+        return [lower + rng.uniform(0.05, 0.95, len(lower)) * (upper - lower)
+                for _ in range(count)]
+
+    def test_energy_bitwise_equals_scalar_evaluation(self, three_task_set, processor):
+        from repro.offline.evaluation import CompiledEvaluation
+
+        expansion = expand_fully_preemptive(three_task_set)
+        subs = expansion.sub_instances
+        rng = np.random.default_rng(11)
+        for actual in (None, {inst.key: inst.wcec for inst in expansion.instances}):
+            compiled = CompiledEvaluation(expansion, processor, actual)
+            cases = []
+            for _ in range(25):
+                ends = [sub.slot_start + rng.uniform(0.0, sub.slot_length) for sub in subs]
+                budgets = [rng.uniform(-10.0, 0.7 * sub.instance.wcec) for sub in subs]
+                cases.append((ends, budgets))
+            # Degenerate points: no available time, all-zero budgets.
+            cases.append(([sub.slot_start for sub in subs], cases[0][1]))
+            cases.append((cases[0][0], [0.0] * len(subs)))
+            for ends, budgets in cases:
+                energy, grad_ends, grad_budgets = compiled.energy_and_gradient(ends, budgets)
+                assert energy == compiled.energy_from_lists(ends, budgets)
+                assert len(grad_ends) == len(grad_budgets) == len(subs)
+
+    @pytest.mark.parametrize("mode", ["acec", "wcec", "scenarios"])
+    def test_gradient_matches_central_difference(self, three_task_set, processor, mode):
+        expansion = expand_fully_preemptive(three_task_set)
+        if mode == "scenarios":
+            nlp = _scenario_nlp(expansion, processor)
+        else:
+            nlp = ReducedNLP(expansion, processor, workload_mode=mode)
+        rng = np.random.default_rng(12)
+        for x in self._interior_points(nlp, rng, 15):
+            gradient = nlp.jacobian(x)
+            numeric = np.empty_like(x)
+            for column in range(len(x)):
+                step = 1e-6 * max(1.0, abs(x[column]))
+                forward, backward = x.copy(), x.copy()
+                forward[column] += step
+                backward[column] -= step
+                numeric[column] = (nlp.objective_reference(forward)
+                                   - nlp.objective_reference(backward)) / (2.0 * step)
+            scale = np.maximum(1.0, np.abs(numeric))
+            assert np.all(np.abs(gradient - numeric) <= self.GRADIENT_RTOL * scale)
+
+    @pytest.mark.parametrize("taskset_name", ["two_task_set", "three_task_set"])
+    @pytest.mark.parametrize("mode", ["acec", "wcec"])
+    def test_solve_no_worse_than_scipy_finite_differences(self, request, processor,
+                                                           taskset_name, mode):
+        expansion = expand_fully_preemptive(request.getfixturevalue(taskset_name))
+        exact = ReducedNLP(expansion, processor, workload_mode=mode).solve()
+        # Without the compiled evaluation the solver differences the
+        # reference objective itself (jac=None), as for non-linear laws.
+        differenced = ReducedNLP(expansion, processor, workload_mode=mode)
+        differenced._compiled = None
+        reference = differenced.solve()
+        assert not exact.metadata["fallback"]
+        assert exact.objective_value <= reference.objective_value * (1.0 + self.OBJECTIVE_RTOL)

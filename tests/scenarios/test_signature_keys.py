@@ -5,6 +5,9 @@ Both stores are content-addressed: a comparison unit's payload lives under
 ``signature_key(solve_signature(task))``.  If either key drifts, every
 existing result store and solve memo silently goes cold, so the hex digests
 below are pinned: changing one is a store-format change and must say so.
+
+History: store format 3 (the exact-gradient planner) moved every digest;
+the solve keys also lost the removed ``vectorized_jacobian`` solver option.
 """
 
 from repro.analysis.preemption import expand_fully_preemptive
@@ -29,7 +32,7 @@ def test_explicit_comparison_unit_key():
     job = ComparisonJob(processor=PROCESSOR, taskset=TASKSET,
                         config=ComparisonConfig(n_hyperperiods=4, seed=7))
     assert signature_key(_comparison_signature(job)) == (
-        "4b86eb6713694c20baa37125d26a72ba52def8c63e192ad7abdabfb46474d667")
+        "55d4a585a1fd1f0c78e45dbcce889e9db68726b2528ef83357820a2de292e60d")
 
 
 def test_random_comparison_unit_key():
@@ -37,17 +40,17 @@ def test_random_comparison_unit_key():
         PROCESSOR, RandomTaskSetConfig(n_tasks=3, periods=(10.0, 20.0, 40.0)),
         ComparisonConfig(n_hyperperiods=10, seed=12345), 0, 1)
     assert signature_key(_comparison_signature(job)) == (
-        "9d76a0c62278fa59a9a0d82f081de4e9ccdc444911fa49d803edd6f1be8e4b70")
+        "4e18fc49545074fa4b222f23b85c02535812db16ea568836f43ae2a2ab7916ba")
 
 
 def test_solve_keys():
     expansion = expand_fully_preemptive(TASKSET)
     nlp = ReducedNLP(expansion, PROCESSOR, workload_mode="acec")
     assert signature_key(solve_signature(NLPSolveTask(nlp))) == (
-        "e7cd49c9969f41f826ad9138ad29ee3016593e21d2b7529580a5b74f5a2ab706")
+        "318a4d2fc1a9784382571d12505a01b02ceb2e3e3f498e246d67b264165e8baf")
     seeded = NLPSolveTask(nlp, x0=nlp.initial_guess())
     assert signature_key(solve_signature(seeded)) == (
-        "7664be0056b3a658e2d58b0f6c5df5743a469f66095a793b995d541b45997e3f")
+        "d111689a15107918cd62788e6cad1075d262fa5394b4c6b33afc647356f2ecd4")
     cmos = ReducedNLP(expansion, cmos_processor(fmax=1000.0), workload_mode="wcec")
     assert signature_key(solve_signature(NLPSolveTask(cmos))) == (
-        "e53f045afa76470b09a4604f33a6f96786d4e5340e06d175369c7e0d0e899c1d")
+        "6b6f44535e1114a921828c7b0af8c000b26a3fc55c335dff6f260af05a30dd7a")

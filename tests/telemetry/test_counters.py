@@ -5,11 +5,12 @@ the warm rerun replays everything (store hits == units, ``computed=0``);
 a ``--force``-style rerun recomputes the units but answers every NLP solve
 from the warm solve-memo (memo hits, zero memo computes).  The NLP
 evaluation counters match the objective/jacobian calls a plan makes, on
-every planning path.
+every planning path, and every solve reports its outcome.
 """
 
 import pytest
 
+from repro.analysis.preemption import expand_fully_preemptive
 from repro.core.task import Task
 from repro.core.taskset import TaskSet
 from repro.experiments.harness import ComparisonConfig, compare_schedulers, make_schedulers
@@ -125,3 +126,28 @@ class TestNLPEvaluationCounters:
         assert counters.get("nlp.jacobian_evaluations", 0) == observed["jacobian"]
         if law == "linear":
             assert observed["jacobian"] > 0
+
+
+class TestSolveOutcomeCounters:
+    """Every solve counts its status and fallback and observes its iterations."""
+
+    EXPANSION = expand_fully_preemptive(TestNLPEvaluationCounters.TASKSET)
+    PROCESSOR = ideal_processor(fmax=1000.0)
+
+    def test_status_and_iterations_of_a_converged_solve(self):
+        with using(Telemetry()) as telemetry:
+            schedule = ReducedNLP(self.EXPANSION, self.PROCESSOR, workload_mode="wcec").solve()
+        status = schedule.metadata["solver_status"]
+        assert telemetry.counters[f"solve.status.{status}"] == 1
+        assert telemetry.observations["solve.iterations"] == [
+            schedule.metadata["solver_iterations"]]
+        assert "solve.fallback_worst_case" not in telemetry.counters
+
+    def test_forced_worst_case_fallback_is_counted(self, monkeypatch):
+        monkeypatch.setattr(ReducedNLP, "_repair", lambda self, end_times, budgets: None)
+        with using(Telemetry()) as telemetry:
+            schedule = ReducedNLP(self.EXPANSION, self.PROCESSOR).solve()
+        assert schedule.metadata["fallback"] is True
+        assert telemetry.counters["solve.fallback_worst_case"] == 1
+        assert sum(value for name, value in telemetry.counters.items()
+                   if name.startswith("solve.status.")) == 1
